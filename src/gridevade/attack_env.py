@@ -215,8 +215,8 @@ class AttackEnv:
         if self.t_f < 1:
             raise ValueError("trace too short for one environment step")
         self._t0 = t0
-        # Clean posteriors for info/diagnostics only.
-        self._clean_posterior = np.array([
+        # Clean posteriors of frames t0..end, for info/diagnostics only.
+        self.clean_posterior = np.array([
             det.posterior(self.detector, det.featurize(self.trace, t, self.window))
             for t in range(t0, self.trace.n_frames)
         ])
@@ -262,7 +262,7 @@ class AttackEnv:
         self._compromised = self.trace.frames.copy()
         x0 = np.abs(self.trace.frames[self._t0])
         c0 = misdirection(int(self.trace.labels[self._t0]),
-                          float(self._clean_posterior[0]))
+                          float(self.clean_posterior[0]))
         self.state = AgentState(x=x0, n=np.zeros(self.bus_count), c=c0)
         return self.state
 
@@ -301,7 +301,7 @@ class AttackEnv:
             "action": action,
             "action_clamped": was_clamped,
             "perturbation": n,
-            "clean_posterior": float(self._clean_posterior[t - self._t0]),
+            "clean_posterior": float(self.clean_posterior[t - self._t0]),
             "attacked_posterior": p_attacked,
             "max_abs_n": float(np.max(np.abs(n))),
         }

@@ -9,7 +9,7 @@ only ever see measurement frames).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -91,18 +91,7 @@ class TraceScenario:
             )
 
     def with_seed(self, seed: int) -> "TraceScenario":
-        return TraceScenario(
-            case=self.case,
-            dt=self.dt,
-            horizon=self.horizon,
-            fault_start=self.fault_start,
-            fault_bus=self.fault_bus,
-            fault_depth=self.fault_depth,
-            fault_freq=self.fault_freq,
-            fault_damping=self.fault_damping,
-            sensor_noise_std=self.sensor_noise_std,
-            seed=seed,
-        )
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

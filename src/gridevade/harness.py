@@ -18,14 +18,7 @@ import numpy as np
 import yaml
 
 from . import ddpg, detector as det, neural
-from .attack_env import (
-    ACTION_DIM,
-    DEFAULT_ACTION_BOUNDS,
-    DEFAULT_IMPULSE_DENSITY,
-    AttackConfig,
-    AttackEnv,
-    RewardParams,
-)
+from .attack_env import AttackConfig, AttackEnv, RewardParams
 from .grid_traces import (
     BusCase,
     TraceScenario,
@@ -103,90 +96,87 @@ def _default_config_path() -> Path:
         return Path(p)
 
 
+def _resolve(shipped: dict, user, path: str = "") -> dict:
+    """Lay `user` over `shipped` key by key; keys `shipped` lacks are errors.
+
+    A value takes the type of the shipped value it replaces (an int given
+    for a float becomes that float); null-valued shipped keys take any value.
+    """
+    if not isinstance(user, dict):
+        raise ValueError(f"config section '{path or '<root>'}' must be a mapping, got {user!r}")
+    resolved = dict(shipped)
+    for key, value in user.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key not in shipped:
+            raise ValueError(f"unknown config key '{where}'")
+        default = shipped[key]
+        if isinstance(default, dict):
+            value = _resolve(default, value, where)
+        elif isinstance(default, float) and type(value) is int:
+            value = float(value)
+        elif default is not None and type(value) is not type(default):
+            raise ValueError(
+                f"config key '{where}' must be {type(default).__name__}, got {value!r}")
+        resolved[key] = value
+    return resolved
+
+
 def load_config(path=None, seed_override: int | None = None) -> RunConfig:
-    """Load a YAML run config; None loads the shipped defaults."""
-    path = _default_config_path() if path is None else Path(path)
-    raw = yaml.safe_load(path.read_text())
+    """Load a YAML run config laid over the shipped one; None loads the shipped one.
+
+    The user's YAML lists only the keys it changes; `RunConfig.raw` (and so
+    the hash) is the resolved config.
+    """
+    raw = yaml.safe_load(_default_config_path().read_text())
+    if path is not None:
+        raw = _resolve(raw, yaml.safe_load(Path(path).read_text()) or {})
     if seed_override is not None:
         raw["master_seed"] = int(seed_override)
-    master_seed = int(raw.get("master_seed", 0))
+    master_seed = raw["master_seed"]
 
-    case = load_case(raw["case_file"]) if raw.get("case_file") else default_case()
-    sc = raw.get("scenario", {})
-    scenario = TraceScenario(
-        case=case,
-        dt=float(sc.get("dt", 0.1)),
-        horizon=float(sc.get("horizon", 10.0)),
-        fault_start=float(sc.get("fault_start", 5.4)),
-        fault_bus=int(sc.get("fault_bus", 4)),
-        fault_depth=float(sc.get("fault_depth", 0.2)),
-        fault_freq=float(sc.get("fault_freq", 1.5)),
-        fault_damping=float(sc.get("fault_damping", 1.0)),
-        sensor_noise_std=float(sc.get("sensor_noise_std", 0.002)),
-        seed=master_seed,
-    )
+    case = load_case(raw["case_file"]) if raw["case_file"] else default_case()
+    scenario = TraceScenario(case=case, seed=master_seed, **raw["scenario"])
 
-    dc = raw.get("detector", {})
+    dc = dict(raw["detector"])
+    train_traces, split_ratio = dc.pop("train_traces"), dc.pop("split_ratio")
+    dc["hidden"] = tuple(dc["hidden"])
     detector_config = det.DetectorConfig(
-        window=int(dc.get("window", 10)),
-        hidden=tuple(dc.get("hidden", [64, 32])),
-        threshold=float(dc.get("threshold", 0.5)),
-        epochs=int(dc.get("epochs", 60)),
-        batch_size=int(dc.get("batch_size", 64)),
-        learning_rate=float(dc.get("learning_rate", 1e-3)),
-        seed=derive_seeds(master_seed, _SEED_DETECTOR, 1)[0],
-    )
+        **dc, seed=derive_seeds(master_seed, _SEED_DETECTOR, 1)[0])
 
-    ac = raw.get("attack", {})
-    rw = ac.get("reward", {})
-    reward_params = RewardParams(
-        k0=float(rw.get("k0", 10.0)),
-        x_hat=float(rw.get("x_hat", 1.0)),
-        lam=float(rw.get("lambda", 0.95)),
-        horizon_frames=rw.get("horizon_frames"),
-        penalty_abs=bool(rw.get("penalty_abs", False)),
-        use_compromised_x=bool(rw.get("use_compromised_x", False)),
-    )
-    mask = ac.get("access_mask")
-    attack_config = AttackConfig(
-        epsilon=float(ac.get("epsilon", 0.01)),
-        access_mask=np.asarray(mask, dtype=bool) if mask is not None else None,
-        action_bounds=tuple(tuple(b) for b in ac.get("action_bounds", DEFAULT_ACTION_BOUNDS)),
-        reward_params=reward_params,
-        impulse_density=float(ac.get("impulse_density") or DEFAULT_IMPULSE_DENSITY),
-        field_seed_policy=ac.get("field_seed_policy", "per-episode"),
-        field_seed=int(ac.get("field_seed", 0)),
-    )
+    ac = dict(raw["attack"])
+    rw = dict(ac.pop("reward"))
+    rw["lam"] = rw.pop("lambda")
+    reward_params = RewardParams(**rw)
+    ac["action_bounds"] = tuple(tuple(b) for b in ac["action_bounds"])
+    if ac["impulse_density"] is None:
+        del ac["impulse_density"]  # AttackConfig's default: 64 expected impulses
+    else:
+        ac["impulse_density"] = float(ac["impulse_density"])
+    attack_config = AttackConfig(**ac, reward_params=reward_params)
 
-    ag = raw.get("agent", {})
-    tr = raw.get("training", {})
+    ag = raw["agent"]
+    tr = dict(raw["training"])
+    train_episodes, train_restarts = tr.pop("episodes"), tr.pop("restarts")
     train_config = ddpg.TrainConfig(
-        batch_size=int(tr.get("batch_size", 64)),
-        buffer_capacity=int(tr.get("buffer_capacity", 50_000)),
-        warmup=int(tr.get("warmup", 256)),
-        sigma_start=float(tr.get("sigma_start", 0.2)),
-        sigma_end=float(tr.get("sigma_end", 0.02)),
-        seed=derive_seeds(master_seed, _SEED_ATTACK_TRAIN, 1)[0],
-    )
-    ev = raw.get("evaluation", {})
+        **tr, seed=derive_seeds(master_seed, _SEED_ATTACK_TRAIN, 1)[0])
     return RunConfig(
         raw=raw,
         master_seed=master_seed,
         case=case,
         scenario=scenario,
         detector_config=detector_config,
-        detector_train_traces=int(dc.get("train_traces", 12)),
-        detector_split_ratio=float(dc.get("split_ratio", 0.75)),
+        detector_train_traces=train_traces,
+        detector_split_ratio=split_ratio,
         attack_config=attack_config,
-        agent_hidden=tuple(ag.get("hidden", [64, 64])),
+        agent_hidden=tuple(ag["hidden"]),
         agent_gamma=reward_params.lam,
-        agent_tau=float(ag.get("tau", 0.005)),
-        actor_lr=float(ag.get("actor_lr", 1e-4)),
-        critic_lr=float(ag.get("critic_lr", 1e-3)),
+        agent_tau=ag["tau"],
+        actor_lr=ag["actor_lr"],
+        critic_lr=ag["critic_lr"],
         train_config=train_config,
-        train_episodes=int(tr.get("episodes", 150)),
-        train_restarts=int(tr.get("restarts", 1)),
-        eval_episodes=int(ev.get("episodes", 10)),
+        train_episodes=train_episodes,
+        train_restarts=train_restarts,
+        eval_episodes=raw["evaluation"]["episodes"],
     )
 
 
@@ -261,7 +251,7 @@ def cmd_train_detector(cfg: RunConfig, out_dir):
     return model, report, loss
 
 
-def _env_factory(cfg: RunConfig, model: det.DetectorModel, purpose: int):
+def _env_factory(cfg: RunConfig, model: det.DetectorModel):
     def factory(episode: int, episode_seed: int) -> AttackEnv:
         scenario = cfg.scenario.with_seed(episode_seed)
         return AttackEnv(scenario, model, cfg.attack_config, seed=episode_seed)
@@ -315,7 +305,7 @@ def cmd_train_attacker(cfg: RunConfig, out_dir):
         )
         train_config = replace(cfg.train_config, seed=train_seeds[r])
         candidate, cand_curve = ddpg.train(
-            candidate, _env_factory(cfg, model, _SEED_ATTACK_TRAIN),
+            candidate, _env_factory(cfg, model),
             cfg.train_episodes, train_config)
         score = _validation_drop(cfg, model, candidate) if cfg.train_episodes else 0.0
         if best is None or score > best[0]:
@@ -375,7 +365,6 @@ def run_attack_episode(env: AttackEnv, policy) -> dict:
     rows = {k: [] for k in ("frame", "time", "label", "reward", "c",
                             "clean_posterior", "attacked_posterior", "max_abs_n")}
     perturbations = []
-    frames = []
     done = False
     while not done:
         outcome = env.step(policy(state))
@@ -389,12 +378,11 @@ def run_attack_episode(env: AttackEnv, policy) -> dict:
         rows["attacked_posterior"].append(info["attacked_posterior"])
         rows["max_abs_n"].append(info["max_abs_n"])
         perturbations.append(info["perturbation"])
-        frames.append(env._compromised[info["frame"]].copy())
         state = outcome.next_state
         done = outcome.done
     out = {k: np.asarray(v) for k, v in rows.items()}
     out["perturbations"] = np.asarray(perturbations)
-    out["compromised_frames"] = np.asarray(frames)
+    out["compromised_frames"] = env.trace.frames[out["frame"]] + out["perturbations"]
     return out
 
 
@@ -440,18 +428,19 @@ def evaluate_baseline(cfg: RunConfig, model: det.DetectorModel, baseline: str,
     """Run E held-out evaluation episodes for one baseline."""
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline '{baseline}'")
-    n_ep = episodes or cfg.eval_episodes
+    n_ep = cfg.eval_episodes if episodes is None else episodes
+    if n_ep < 1:
+        raise ValueError(f"episodes must be >= 1, got {n_ep}")
     seeds = derive_seeds(cfg.master_seed, _SEED_EVAL, n_ep)
     runs = []
     for i, seed in enumerate(seeds):
         env = AttackEnv(cfg.scenario.with_seed(seed), model, cfg.attack_config, seed=seed)
         if baseline == "none":
             # No attack: replay the clean posterior series as both curves.
-            state = env.reset()
-            t0 = env._t0
+            t0 = env.window - 1
             times = env.trace.times[t0 + 1 :]
             labels = env.trace.labels[t0 + 1 :]
-            clean = env._clean_posterior[1 :]
+            clean = env.clean_posterior[1 :]
             runs.append({
                 "frame": np.arange(t0 + 1, env.trace.n_frames),
                 "time": times, "label": labels,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,49 @@ class TestConfig:
         train = set(derive_seeds(0, harness._SEED_TRACE, 50))
         evals = set(derive_seeds(0, harness._SEED_EVAL, 50))
         assert not (train & evals)
+
+    @staticmethod
+    def load_text(tmp_path, text):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        return load_config(path)
+
+    def test_partial_yaml_resolves_to_shipped(self, tmp_path):
+        shipped = load_config()
+        partial = self.load_text(tmp_path, "master_seed: 20240817\n")
+        assert partial.train_restarts == 6
+        assert partial.attack_config.field_seed_policy == "fixed"
+        assert repr(partial) == repr(shipped)
+        assert partial.hash == shipped.hash
+
+    def test_int_for_float_resolves_to_float(self, tmp_path):
+        as_int = self.load_text(tmp_path, "scenario: {horizon: 10}\n")
+        as_float = self.load_text(tmp_path, "scenario: {horizon: 10.0}\n")
+        assert as_int.scenario.horizon == 10.0
+        assert isinstance(as_int.scenario.horizon, float)
+        assert repr(as_int) == repr(as_float)
+        assert as_int.hash == as_float.hash
+
+    @pytest.mark.parametrize("text, message", [
+        ("training: {restrats: 2}", "unknown config key 'training.restrats'"),
+        ("attack: {reward: {lam: 0.9}}", "unknown config key 'attack.reward.lam'"),
+        ("seed: 3", "unknown config key 'seed'"),
+        ("scenario: 3", "config section 'scenario' must be a mapping"),
+        ("- 1", "config section '<root>' must be a mapping"),
+        ("training: {restarts: two}", "config key 'training.restarts' must be int"),
+        ("attack: {reward: {penalty_abs: 1}}", "config key 'attack.reward.penalty_abs' must be bool"),
+    ])
+    def test_bad_key_names_its_path(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load_text(tmp_path, text + "\n")
+
+    def test_unknown_key_fails_via_cli(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("training:\n  restrats: 2\n")
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: unknown config key 'training.restrats'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -162,6 +206,15 @@ class TestPipeline:
         before = (out / "metrics_trained_agent.json").read_bytes()
         harness.cmd_evaluate(cfg, out)
         assert (out / "metrics_trained_agent.json").read_bytes() == before
+
+
+class TestEvaluateBaseline:
+    def test_episode_count_is_taken_as_given(self, trained_detector):
+        cfg = load_config()
+        _, runs = harness.evaluate_baseline(cfg, trained_detector, "none", episodes=1)
+        assert len(runs) == 1
+        with pytest.raises(ValueError, match="episodes must be >= 1"):
+            harness.evaluate_baseline(cfg, trained_detector, "none", episodes=0)
 
 
 class TestMissingArtifacts:
