@@ -8,7 +8,6 @@ x = |measurement value|, y = log(bus index + 1).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -17,14 +16,12 @@ import numpy as np
 __all__ = [
     "SIGMA_FLOOR",
     "GaborKernelParams",
-    "GaborImpulse",
     "GaborField",
     "gabor_kernel",
     "evaluate_field",
     "build_field",
     "bus_coordinate",
     "perturbation_vector",
-    "write_field_csv",
 ]
 
 # Keeps the kernel-support padding 3/max(sigma, SIGMA_FLOOR) bounded for
@@ -52,20 +49,6 @@ class GaborKernelParams:
             raise ValueError(f"omega0 must lie in [0, pi), got {self.omega0}")
 
 
-@dataclass(frozen=True)
-class GaborImpulse:
-    x: float
-    y: float
-    weight: float
-    params: GaborKernelParams
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("impulse position must be finite")
-        if not math.isfinite(self.weight):
-            raise ValueError("impulse weight must be finite")
-
-
 def gabor_kernel(params: GaborKernelParams, x, y):
     """Gaussian-windowed oriented cosine; |result| <= |K|.
 
@@ -83,25 +66,21 @@ def gabor_kernel(params: GaborKernelParams, x, y):
 
 
 class GaborField:
-    """Immutable set of weighted Gabor impulses over a bounded domain."""
+    """One Gabor kernel applied at an immutable array of weighted impulses.
 
-    def __init__(self, impulses, domain, seed=None):
-        self.impulses = tuple(impulses)
-        self.domain = tuple(domain)  # (x_min, x_max, y_min, y_max)
-        self.seed = seed
-        # Column arrays for the vectorized evaluation path.
-        m = len(self.impulses)
-        self._xs = np.array([im.x for im in self.impulses]) if m else np.empty(0)
-        self._ys = np.array([im.y for im in self.impulses]) if m else np.empty(0)
-        self._ws = np.array([im.weight for im in self.impulses]) if m else np.empty(0)
-        self._Ks = np.array([im.params.K for im in self.impulses]) if m else np.empty(0)
-        self._sig2 = np.array([im.params.sigma**2 for im in self.impulses]) if m else np.empty(0)
-        self._fcos = np.array(
-            [im.params.F0 * math.cos(im.params.omega0) for im in self.impulses]
-        ) if m else np.empty(0)
-        self._fsin = np.array(
-            [im.params.F0 * math.sin(im.params.omega0) for im in self.impulses]
-        ) if m else np.empty(0)
+    `impulses` is a record array with `x`, `y` and `weight` columns; its
+    elements expose the same names as attributes.
+    """
+
+    def __init__(self, kernel: GaborKernelParams, x, y, weight):
+        x, y, weight = (np.asarray(c, dtype=float) for c in (x, y, weight))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("impulse position must be finite")
+        if not np.isfinite(weight).all():
+            raise ValueError("impulse weight must be finite")
+        self.kernel = kernel
+        self.impulses = np.rec.fromarrays([x, y, weight], names="x,y,weight")
+        self.impulses.flags.writeable = False
 
     def __len__(self):
         return len(self.impulses)
@@ -112,16 +91,16 @@ def evaluate_field(field: GaborField, x, y):
 
     Accepts scalar coordinates or equal-shape arrays of query points.
     """
-    if len(field) == 0:
-        out = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        return float(out) if out.ndim == 0 else out
+    k = field.kernel
+    imp = field.impulses
     x = np.asarray(x, dtype=float)[..., None]
     y = np.asarray(y, dtype=float)[..., None]
-    dx = x - field._xs
-    dy = y - field._ys
-    env = np.exp(-math.pi * field._sig2 * (dx * dx + dy * dy))
-    car = np.cos(2 * math.pi * (dx * field._fcos + dy * field._fsin))
-    out = np.sum(field._ws * field._Ks * env * car, axis=-1)
+    dx = x - imp.x
+    dy = y - imp.y
+    env = np.exp(-math.pi * k.sigma**2 * (dx * dx + dy * dy))
+    car = np.cos(2 * math.pi * (dx * (k.F0 * math.cos(k.omega0))
+                                + dy * (k.F0 * math.sin(k.omega0))))
+    out = np.sum(imp.weight * k.K * env * car, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -154,11 +133,7 @@ def build_field(
     xs = rng.uniform(x_min - pad, x_max + pad, size=count)
     ys = rng.uniform(y_min - pad, y_max + pad, size=count)
     ws = rng.choice([-1.0, 1.0], size=count)
-    impulses = [
-        GaborImpulse(x=float(xs[i]), y=float(ys[i]), weight=float(ws[i]), params=kernel)
-        for i in range(count)
-    ]
-    return GaborField(impulses, domain, seed=seed)
+    return GaborField(kernel, xs, ys, ws)
 
 
 def bus_coordinate(i: int) -> float:
@@ -176,12 +151,3 @@ def perturbation_vector(field: GaborField, frame) -> np.ndarray:
     ys = np.log(np.arange(len(frame)) + 1.0)
     return np.atleast_1d(evaluate_field(field, np.abs(frame), ys))
 
-
-def write_field_csv(field: GaborField, path) -> None:
-    """Dump impulses as `x,y,weight,K,sigma,F0,omega0` rows for debugging."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "weight", "K", "sigma", "F0", "omega0"])
-        for im in field.impulses:
-            w.writerow([im.x, im.y, im.weight, im.params.K, im.params.sigma,
-                        im.params.F0, im.params.omega0])

@@ -436,21 +436,21 @@ def evaluate_baseline(cfg: RunConfig, model: det.DetectorModel, baseline: str,
     for i, seed in enumerate(seeds):
         env = AttackEnv(cfg.scenario.with_seed(seed), model, cfg.attack_config, seed=seed)
         if baseline == "none":
-            # No attack: replay the clean posterior series as both curves.
-            t0 = env.window - 1
-            times = env.trace.times[t0 + 1 :]
-            labels = env.trace.labels[t0 + 1 :]
-            clean = env.clean_posterior[1 :]
+            # No attack: replay the clean posterior series as both curves,
+            # over the t_f frames an attacked episode steps through.
+            frames = np.arange(env.window, env.window + env.t_f)
+            labels = env.trace.labels[frames]
+            clean = env.clean_posterior[1 : 1 + env.t_f]
             runs.append({
-                "frame": np.arange(t0 + 1, env.trace.n_frames),
-                "time": times, "label": labels,
-                "reward": np.zeros(len(times)),
+                "frame": frames,
+                "time": env.trace.times[frames], "label": labels,
+                "reward": np.zeros(env.t_f),
                 "c": np.abs(labels - clean),
                 "clean_posterior": clean,
                 "attacked_posterior": clean.copy(),
-                "max_abs_n": np.zeros(len(times)),
-                "perturbations": np.zeros((len(times), env.bus_count)),
-                "compromised_frames": env.trace.frames[t0 + 1 :].copy(),
+                "max_abs_n": np.zeros(env.t_f),
+                "perturbations": np.zeros((env.t_f, env.bus_count)),
+                "compromised_frames": env.trace.frames[frames],
             })
             continue
         if baseline == "random_hyperparams":

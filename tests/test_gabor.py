@@ -5,35 +5,31 @@ import pytest
 
 from gridevade.gabor import (
     GaborField,
-    GaborImpulse,
     GaborKernelParams,
     build_field,
     bus_coordinate,
     evaluate_field,
     gabor_kernel,
     perturbation_vector,
-    write_field_csv,
 )
 
 DOMAIN = (0.0, 1.2, 0.0, math.log(10.0))
+EMPTY = GaborField(GaborKernelParams(), [], [], [])
 
 
 def direct_sum(field, x, y):
     """Literal weighted-kernel sum; the oracle for evaluate_field."""
-    return sum(im.weight * gabor_kernel(im.params, x - im.x, y - im.y)
+    return sum(im.weight * gabor_kernel(field.kernel, x - im.x, y - im.y)
                for im in field.impulses)
 
 
 def random_field(rng, n_impulses=50):
-    impulses = []
-    for _ in range(n_impulses):
-        params = GaborKernelParams(
-            K=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.1, 2.0),
-            F0=rng.uniform(0.0, 5.0), omega0=rng.uniform(0.0, math.pi * 0.999))
-        impulses.append(GaborImpulse(
-            x=rng.uniform(-1, 2), y=rng.uniform(-1, 3),
-            weight=rng.choice([-1.0, 1.0]), params=params))
-    return GaborField(impulses, DOMAIN)
+    """One random kernel at `n_impulses` random +-1-weighted positions."""
+    kernel = GaborKernelParams(
+        K=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.1, 2.0),
+        F0=rng.uniform(0.0, 5.0), omega0=rng.uniform(0.0, math.pi * 0.999))
+    return GaborField(kernel, rng.uniform(-1, 2, n_impulses), rng.uniform(-1, 3, n_impulses),
+                      rng.choice([-1.0, 1.0], n_impulses))
 
 
 class TestKernel:
@@ -87,29 +83,57 @@ class TestKernel:
             GaborKernelParams(**kw)
 
 
+class TestGaborField:
+    KERNEL = GaborKernelParams()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column, match", [
+        (0, "position"), (1, "position"), (2, "weight"),
+    ])
+    def test_nonfinite_impulse_rejected(self, bad, column, match):
+        cols = [[0.1, 0.2], [0.3, 0.4], [1.0, -1.0]]
+        cols[column][1] = bad
+        with pytest.raises(ValueError, match=match):
+            GaborField(self.KERNEL, *cols)
+
+    def test_one_kernel_and_impulse_columns(self):
+        field = GaborField(self.KERNEL, [0.1, 0.2], [0.3, 0.4], [1.0, -1.0])
+        assert field.kernel is self.KERNEL
+        assert len(field) == 2
+        assert np.array_equal(field.impulses.y, [0.3, 0.4])
+        assert [(im.x, im.y, im.weight) for im in field.impulses] == \
+               [(0.1, 0.3, 1.0), (0.2, 0.4, -1.0)]
+
+    def test_impulses_are_read_only(self):
+        field = GaborField(self.KERNEL, [0.1], [0.3], [1.0])
+        with pytest.raises(ValueError):
+            field.impulses.x[0] = 5.0
+
+
 class TestEvaluateField:
     def test_empty_field_is_zero(self):
-        assert evaluate_field(GaborField([], DOMAIN), 0.3, 0.3) == 0.0
+        assert evaluate_field(EMPTY, 0.3, 0.3) == 0.0
 
     def test_single_impulse_at_query_point(self):
         p = GaborKernelParams(K=1.4, sigma=1.0, F0=2.0, omega0=0.5)
-        field = GaborField([GaborImpulse(x=0.4, y=0.9, weight=-1.0, params=p)], DOMAIN)
+        field = GaborField(p, [0.4], [0.9], [-1.0])
         assert evaluate_field(field, 0.4, 0.9) == pytest.approx(-1.4, abs=1e-14)
 
     def test_vectorized_matches_direct_sum(self):
         # accelerated (vectorized) path vs the literal per-impulse oracle
         rng = np.random.default_rng(3)
-        field = random_field(rng)
-        for _ in range(200):
-            x, y = rng.uniform(0, 1.2), rng.uniform(0, 2.3)
-            got = evaluate_field(field, x, y)
-            want = direct_sum(field, x, y)
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        for _ in range(10):
+            field = random_field(rng)
+            for _ in range(20):
+                x, y = rng.uniform(0, 1.2), rng.uniform(0, 2.3)
+                got = evaluate_field(field, x, y)
+                want = direct_sum(field, x, y)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_boundedness(self):
         rng = np.random.default_rng(4)
         field = random_field(rng)
-        bound = sum(abs(im.weight * im.params.K) for im in field.impulses)
+        bound = sum(abs(im.weight * field.kernel.K) for im in field.impulses)
         xs = rng.uniform(0, 1.2, 500)
         ys = rng.uniform(0, 2.3, 500)
         assert np.max(np.abs(evaluate_field(field, xs, ys))) <= bound + 1e-9
@@ -121,7 +145,8 @@ class TestBuildField:
     def test_deterministic(self):
         a = build_field(self.KERNEL, 20.0, DOMAIN, seed=9)
         b = build_field(self.KERNEL, 20.0, DOMAIN, seed=9)
-        assert a.impulses == b.impulses
+        assert a.kernel == b.kernel
+        assert np.array_equal(a.impulses, b.impulses)
 
     def test_poisson_count_concentration(self):
         density = 50.0
@@ -179,7 +204,7 @@ class TestBusCoordinate:
 
 class TestPerturbationVector:
     def test_empty_field_gives_zero_vector(self):
-        n = perturbation_vector(GaborField([], DOMAIN), np.ones(9))
+        n = perturbation_vector(EMPTY, np.ones(9))
         assert np.array_equal(n, np.zeros(9))
 
     def test_nine_bus_output_length(self):
@@ -201,15 +226,6 @@ class TestPerturbationVector:
                 evaluate_field(field, abs(v), bus_coordinate(i)), rel=1e-12)
 
     def test_nonfinite_frame_rejected(self):
-        field = GaborField([], DOMAIN)
         with pytest.raises(ValueError):
-            perturbation_vector(field, [1.0, np.nan])
+            perturbation_vector(EMPTY, [1.0, np.nan])
 
-
-def test_field_csv_dump(tmp_path):
-    field = build_field(TestBuildField.KERNEL, 20.0, DOMAIN, seed=5)
-    p = tmp_path / "field.csv"
-    write_field_csv(field, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "x,y,weight,K,sigma,F0,omega0"
-    assert len(lines) == len(field) + 1

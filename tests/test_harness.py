@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gridevade import harness
+from gridevade import ddpg, harness
 from gridevade.cli import main
 from gridevade.harness import (
     AttackMetrics,
@@ -215,6 +215,21 @@ class TestEvaluateBaseline:
         assert len(runs) == 1
         with pytest.raises(ValueError, match="episodes must be >= 1"):
             harness.evaluate_baseline(cfg, trained_detector, "none", episodes=0)
+
+    def test_baselines_share_the_horizon(self, trained_detector, tmp_path):
+        p = tmp_path / "horizon.yaml"
+        p.write_text(yaml.safe_dump({"attack": {"reward": {"horizon_frames": 40}}}))
+        cfg = load_config(p)
+        agent = ddpg.make_agent(2 * cfg.case.bus_count + 1,
+                                cfg.attack_config.action_bounds, seed=0)
+        frames = []
+        for baseline in harness.BASELINES:
+            _, (run,) = harness.evaluate_baseline(cfg, trained_detector, baseline,
+                                                  agent=agent, episodes=1)
+            assert {len(v) for v in run.values()} == {40}
+            frames.append(run["frame"])
+        assert np.array_equal(frames[0], np.arange(10, 50))
+        assert all(np.array_equal(f, frames[0]) for f in frames)
 
 
 class TestMissingArtifacts:
