@@ -26,36 +26,58 @@ __all__ = [
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transitions with uniform sampling."""
+    """Fixed-capacity FIFO ring of transitions with uniform sampling.
+
+    Transitions live in five column arrays (s, a, r, s', done). They start
+    at `INITIAL_ROWS` rows and double up to `capacity` as they fill, so a
+    large capacity costs memory only once it is used.
+    """
+
+    INITIAL_ROWS = 1024
 
     def __init__(self, capacity: int, seed: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
-        self._data = []
+        self._columns = None  # allocated by the first store
+        self._size = 0
         self._pos = 0
 
     def __len__(self):
-        return len(self._data)
+        return self._size
 
     def store(self, state, action, reward, next_state, done):
-        item = (np.asarray(state, dtype=float), np.asarray(action, dtype=float),
-                float(reward), np.asarray(next_state, dtype=float), float(done))
-        if len(self._data) < self.capacity:
-            self._data.append(item)
-        else:
-            self._data[self._pos] = item
+        row = (np.asarray(state, dtype=float), np.asarray(action, dtype=float),
+               float(reward), np.asarray(next_state, dtype=float), float(done))
+        if self._columns is None:
+            rows = min(self.INITIAL_ROWS, self.capacity)
+            self._columns = [np.empty((rows, *np.shape(x))) for x in row]
+        s, a, _, s2, _ = self._columns
+        if (row[0].shape != s.shape[1:] or row[1].shape != a.shape[1:]
+                or row[3].shape != s2.shape[1:]):
+            raise ValueError(
+                f"transition shapes {[np.shape(x) for x in row]} differ from the "
+                f"stored {[c.shape[1:] for c in self._columns]}"
+            )
+        rows = len(s)
+        if self._pos == rows < self.capacity:
+            grown = min(2 * rows, self.capacity)
+            for i, c in enumerate(self._columns):
+                self._columns[i] = np.empty((grown, *c.shape[1:]))
+                self._columns[i][:rows] = c
+        for c, x in zip(self._columns, row):
+            c[self._pos] = x
         self._pos = (self._pos + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int):
-        if len(self._data) < batch_size:
+        if self._size < batch_size:
             raise ValueError(
-                f"buffer holds {len(self._data)} transitions, need {batch_size}"
+                f"buffer holds {self._size} transitions, need {batch_size}"
             )
-        idx = self._rng.integers(0, len(self._data), size=batch_size)
-        s, a, r, s2, d = zip(*(self._data[i] for i in idx))
-        return (np.stack(s), np.stack(a), np.array(r), np.stack(s2), np.array(d))
+        idx = self._rng.integers(0, self._size, size=batch_size)
+        return tuple(c[idx] for c in self._columns)
 
 
 @dataclass
@@ -139,9 +161,8 @@ def soft_update(target: neural.Mlp, online: neural.Mlp, tau: float) -> neural.Ml
     """target <- tau * online + (1 - tau) * target, element-wise."""
     if target.layer_sizes != online.layer_sizes:
         raise ValueError("target and online networks differ in shape")
-    for k in range(len(target.weights)):
-        target.weights[k] += tau * (online.weights[k] - target.weights[k])
-        target.biases[k] += tau * (online.biases[k] - target.biases[k])
+    params = target.params
+    params += tau * (online.params - params)
     return target
 
 
@@ -173,9 +194,9 @@ def train_step(agent: DdpgAgent, buffer: ReplayBuffer, batch_size: int):
     sa_pi = np.hstack([s, a_pi])
     q_pi, critic_cache = neural.forward_full(agent.critic, sa_pi)
     actor_objective = float(np.mean(q_pi[:, 0]))
-    _, input_grad = neural.backward(agent.critic, sa_pi,
-                                    -np.ones((batch_size, 1)) / batch_size,
-                                    cache=critic_cache)
+    input_grad = neural.input_gradient(agent.critic,
+                                       -np.ones((batch_size, 1)) / batch_size,
+                                       critic_cache)
     dq_da = input_grad[:, state_dim:]
     span = 0.5 * (agent.action_bounds[:, 1] - agent.action_bounds[:, 0])
     actor_grads, _ = neural.backward(agent.actor, s, dq_da * span, cache=actor_cache)
@@ -216,14 +237,14 @@ def train(agent: DdpgAgent, env_factory, episodes: int, config: TrainConfig):
         frac = ep / max(episodes - 1, 1)
         agent.exploration_sigma = config.sigma_start + frac * (config.sigma_end - config.sigma_start)
         env = env_factory(ep, episode_seeds[ep])
-        state = env.reset()
+        state = env.reset().flatten()
         rewards, losses = [], []
         done = False
         while not done:
             action = act(agent, state, explore=True)
             outcome = env.step(action)
-            buffer.store(state.flatten(), action, outcome.reward,
-                         outcome.next_state.flatten(), outcome.done)
+            next_state = outcome.next_state.flatten()
+            buffer.store(state, action, outcome.reward, next_state, outcome.done)
             rewards.append(outcome.reward)
             if len(buffer) >= max(config.batch_size, config.warmup):
                 critic_loss, _ = train_step(agent, buffer, config.batch_size)
@@ -232,7 +253,7 @@ def train(agent: DdpgAgent, env_factory, episodes: int, config: TrainConfig):
                         f"non-finite critic loss at episode {ep}: {critic_loss}"
                     )
                 losses.append(critic_loss)
-            state = outcome.next_state
+            state = next_state
             done = outcome.done
         ep_return = float(np.sum(rewards))
         curve.append({

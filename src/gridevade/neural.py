@@ -3,6 +3,10 @@
 Shared by the contingency detector, the DDPG actor, and the DDPG critic.
 Backprop is hand-rolled for the fixed MLP topology so the finite-difference
 gradient check stays meaningful and the artifact stays dependency-free.
+
+A network keeps all its parameters in one contiguous vector, layer by layer
+(weights[0], biases[0], weights[1], ...). Gradients use the same layout, so
+Adam and target-network updates are a few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "forward",
     "forward_full",
     "backward",
+    "input_gradient",
     "adam_step",
     "parameter_count",
     "save_checkpoint",
@@ -47,7 +52,7 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
 def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     """d(activation)/dz from the pre-activation z and the output a."""
     if name == "relu":
-        return (z > 0).astype(float)
+        return z > 0  # a boolean mask multiplies as 0.0/1.0
     if name == "tanh":
         return 1.0 - a * a
     if name == "sigmoid":
@@ -57,43 +62,85 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation '{name}'")
 
 
-@dataclass
+def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[tuple, tuple]:
+    """(weights, biases) as tuples of reshaped views into `flat`."""
+    weights, biases = [], []
+    pos = 0
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[pos : pos + n_in * n_out].reshape(n_in, n_out))
+        pos += n_in * n_out
+        biases.append(flat[pos : pos + n_out])
+        pos += n_out
+    return tuple(weights), tuple(biases)
+
+
 class Mlp:
-    """Fully-connected network; weights[k] maps layer k to layer k+1."""
+    """Fully-connected network; weights[k] maps layer k to layer k+1.
 
-    layer_sizes: list[int]
-    activations: list[str]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    The constructor copies `weights` and `biases` into one flat vector
+    `params`. `weights` and `biases` are then tuples of views into it: edit
+    their elements in place (`net.weights[k][...] = w`); the tuples and
+    `params` cannot be rebound.
+    """
 
-    def __post_init__(self):
-        if len(self.layer_sizes) < 2:
+    def __init__(self, layer_sizes, activations, weights, biases):
+        if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output layer")
-        if len(self.activations) != len(self.layer_sizes) - 1:
+        if len(activations) != len(layer_sizes) - 1:
             raise ValueError("one activation per non-input layer required")
-        for act in self.activations:
+        for act in activations:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation '{act}'")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            want = (self.layer_sizes[k], self.layer_sizes[k + 1])
-            if w.shape != want:
-                raise ValueError(f"weight {k} has shape {w.shape}, expected {want}")
-            if b.shape != (self.layer_sizes[k + 1],):
-                raise ValueError(f"bias {k} has shape {b.shape}, expected ({want[1]},)")
+        if len(weights) != len(layer_sizes) - 1 or len(biases) != len(layer_sizes) - 1:
+            raise ValueError("one weight matrix and one bias vector per non-input layer required")
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            want = (layer_sizes[k], layer_sizes[k + 1])
+            if np.shape(w) != want:
+                raise ValueError(f"weight {k} has shape {np.shape(w)}, expected {want}")
+            if np.shape(b) != (layer_sizes[k + 1],):
+                raise ValueError(f"bias {k} has shape {np.shape(b)}, expected ({want[1]},)")
+        self.layer_sizes = list(layer_sizes)
+        self.activations = list(activations)
+        self._params = np.empty(sum((n_in + 1) * n_out for n_in, n_out
+                                    in zip(layer_sizes[:-1], layer_sizes[1:])))
+        self._weights, self._biases = _layer_views(self._params, self.layer_sizes)
+        for view, w in zip(self._weights, weights):
+            view[...] = w
+        for view, b in zip(self._biases, biases):
+            view[...] = b
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._params
+
+    @property
+    def weights(self) -> tuple:
+        return self._weights
+
+    @property
+    def biases(self) -> tuple:
+        return self._biases
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            layer_sizes=list(self.layer_sizes),
-            activations=list(self.activations),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return Mlp(self.layer_sizes, self.activations, self.weights, self.biases)
 
 
 @dataclass
 class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """Per-layer gradients plus `flat`, the same values in the layout of Mlp.params.
+
+    `backward` fills `flat` and makes the per-layer arrays views into it;
+    built from plain lists, `flat` is their concatenation.
+    """
+
+    weights: list
+    biases: list
+    flat: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat = np.concatenate(
+                [g.ravel() for pair in zip(self.weights, self.biases) for g in pair])
 
 
 def init_mlp(layer_sizes, activations, seed) -> Mlp:
@@ -110,7 +157,7 @@ def init_mlp(layer_sizes, activations, seed) -> Mlp:
 
 
 def parameter_count(net: Mlp) -> int:
-    return sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    return net.params.size
 
 
 def forward_full(net: Mlp, x):
@@ -139,78 +186,89 @@ def forward(net: Mlp, x):
     return out
 
 
-def backward(net: Mlp, x, output_gradient, cache=None):
-    """Exact reverse-mode gradients of forward(net, x).
+def _backprop(net: Mlp, output_gradient, cache, grads: Gradients | None):
+    """Chain `output_gradient` back through the cached forward pass.
 
-    Returns (Gradients, input_gradient). `output_gradient` is d(loss)/d(output).
-    Pass the cache from forward_full to skip recomputing the forward pass.
+    Writes the parameter gradients into `grads` unless it is None; returns
+    d(loss)/d(input).
     """
     g = np.asarray(output_gradient, dtype=float)
     single = g.ndim == 1
-    if cache is None:
-        _, cache = forward_full(net, x)
     if single:
         g = g[None, :]
     if g.shape[1] != net.layer_sizes[-1]:
         raise ValueError(
             f"output gradient dim {g.shape[1]} does not match layer size {net.layer_sizes[-1]}"
         )
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
     delta = g
     for k in range(len(net.weights) - 1, -1, -1):
         z, a = cache[k + 1]
         delta = delta * _activation_grad(net.activations[k], z, a)
-        a_prev = cache[k][1]
-        grad_w[k] = a_prev.T @ delta
-        grad_b[k] = delta.sum(axis=0)
+        if grads is not None:
+            np.matmul(cache[k][1].T, delta, out=grads.weights[k])
+            delta.sum(axis=0, out=grads.biases[k])
         delta = delta @ net.weights[k].T
-    input_grad = delta[0] if single else delta
-    return Gradients(grad_w, grad_b), input_grad
+    return delta[0] if single else delta
+
+
+def backward(net: Mlp, x, output_gradient, cache=None):
+    """Exact reverse-mode gradients of forward(net, x).
+
+    Returns (Gradients, input_gradient). `output_gradient` is d(loss)/d(output).
+    Pass the cache from forward_full to skip recomputing the forward pass.
+    """
+    if cache is None:
+        _, cache = forward_full(net, x)
+    flat = np.empty(net.params.size)
+    weights, biases = _layer_views(flat, net.layer_sizes)
+    grads = Gradients(list(weights), list(biases), flat)
+    input_grad = _backprop(net, output_gradient, cache, grads)
+    return grads, input_grad
+
+
+def input_gradient(net: Mlp, output_gradient, cache):
+    """d(loss)/d(input) of the pass in `cache` (from forward_full), equal to
+    backward's second result; computes no parameter gradients."""
+    return _backprop(net, output_gradient, cache, None)
 
 
 @dataclass
 class AdamState:
-    """Adam accumulators shaped like the network parameters."""
+    """Adam accumulators, flat in the layout of Mlp.params."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_net(cls, net: Mlp, lr: float = 1e-3, beta1: float = 0.9,
                 beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
         return cls(
             lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step=0,
-            m_w=[np.zeros_like(w) for w in net.weights],
-            v_w=[np.zeros_like(w) for w in net.weights],
-            m_b=[np.zeros_like(b) for b in net.biases],
-            v_b=[np.zeros_like(b) for b in net.biases],
+            m=np.zeros_like(net.params), v=np.zeros_like(net.params),
         )
 
 
 def adam_step(opt: AdamState, net: Mlp, grads: Gradients):
     """Standard Adam update with bias correction; updates in place."""
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if grads.weights[k].shape != w.shape or grads.biases[k].shape != b.shape:
+            raise ValueError(f"gradient shape mismatch at layer {k}")
+    if grads.flat.shape != net.params.shape:
+        raise ValueError(f"gradient shape mismatch: {grads.flat.shape} vs {net.params.shape}")
     opt.step += 1
     b1, b2 = opt.beta1, opt.beta2
     c1 = 1.0 - b1**opt.step
     c2 = 1.0 - b2**opt.step
-    for k in range(len(net.weights)):
-        gw, gb = grads.weights[k], grads.biases[k]
-        if gw.shape != net.weights[k].shape or gb.shape != net.biases[k].shape:
-            raise ValueError(f"gradient shape mismatch at layer {k}")
-        opt.m_w[k] = b1 * opt.m_w[k] + (1 - b1) * gw
-        opt.v_w[k] = b2 * opt.v_w[k] + (1 - b2) * gw * gw
-        opt.m_b[k] = b1 * opt.m_b[k] + (1 - b1) * gb
-        opt.v_b[k] = b2 * opt.v_b[k] + (1 - b2) * gb * gb
-        net.weights[k] -= opt.lr * (opt.m_w[k] / c1) / (np.sqrt(opt.v_w[k] / c2) + opt.epsilon)
-        net.biases[k] -= opt.lr * (opt.m_b[k] / c1) / (np.sqrt(opt.v_b[k] / c2) + opt.epsilon)
+    g = grads.flat
+    opt.m = b1 * opt.m + (1 - b1) * g
+    opt.v = b2 * opt.v + (1 - b2) * g * g
+    params = net.params
+    params -= opt.lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + opt.epsilon)
     return net, opt
 
 

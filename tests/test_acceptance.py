@@ -22,6 +22,8 @@ from gridevade.gabor import (
 )
 from gridevade.grid_traces import generate_trace
 
+pytestmark = pytest.mark.acceptance
+
 
 def criterion(number, label, ok):
     print(f"\ncriterion {number} ({label}): {'PASS' if ok else 'FAIL'}")

@@ -61,6 +61,33 @@ def toy_agent(seed):
                       actor_lr=3e-4, critic_lr=3e-3)
 
 
+class ListReplayBuffer:
+    """Reference: a list of transition tuples, stacked at sampling time."""
+
+    def __init__(self, capacity, seed):
+        self.capacity = capacity
+        self._rng = np.random.default_rng(seed)
+        self._data = []
+        self._pos = 0
+
+    def __len__(self):
+        return len(self._data)
+
+    def store(self, state, action, reward, next_state, done):
+        item = (np.asarray(state, dtype=float), np.asarray(action, dtype=float),
+                float(reward), np.asarray(next_state, dtype=float), float(done))
+        if len(self._data) < self.capacity:
+            self._data.append(item)
+        else:
+            self._data[self._pos] = item
+        self._pos = (self._pos + 1) % self.capacity
+
+    def sample(self, batch_size):
+        idx = self._rng.integers(0, len(self._data), size=batch_size)
+        s, a, r, s2, d = zip(*(self._data[i] for i in idx))
+        return (np.stack(s), np.stack(a), np.array(r), np.stack(s2), np.array(d))
+
+
 class TestReplayBuffer:
     def make(self, capacity=4, seed=0):
         return ReplayBuffer(capacity, seed=seed)
@@ -72,8 +99,9 @@ class TestReplayBuffer:
         buf = self.make(capacity=2)
         for k in range(3):
             buf.store(*self.tr(k))
-        stored = {float(s[0]) for s, *_ in buf._data}
-        assert stored == {1.0, 2.0}
+        assert len(buf) == 2
+        seen = {float(v) for _ in range(32) for v in buf.sample(2)[0][:, 0]}
+        assert seen == {1.0, 2.0}
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError, match="buffer holds"):
@@ -87,6 +115,43 @@ class TestReplayBuffer:
         a = bufs[0].sample(4)
         b = bufs[1].sample(4)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_matches_list_of_tuples_reference(self):
+        # growth past the initial rows and wrap-around at capacity
+        capacity = 2 * ReplayBuffer.INITIAL_ROWS + 100
+        buf = self.make(capacity=capacity, seed=11)
+        ref = ListReplayBuffer(capacity, seed=11)
+        rng = np.random.default_rng(12)
+        for k in range(3 * capacity):
+            t = (rng.normal(size=3), rng.normal(size=2), rng.normal(),
+                 rng.normal(size=3), float(rng.random() < 0.1))
+            buf.store(*t)
+            ref.store(*t)
+            if k % 97 == 0 or k in (1023, 1024, 1025, capacity - 1, capacity):
+                batch = min(k + 1, 64)
+                got, want = buf.sample(batch), ref.sample(batch)
+                assert len(buf) == len(ref)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want)), k
+
+    @pytest.mark.parametrize("field", [0, 1, 3])
+    def test_shape_change_raises(self, field):
+        buf = self.make()
+        buf.store(*self.tr(0))
+        bad = list(self.tr(1))
+        bad[field] = np.zeros(5)
+        with pytest.raises(ValueError, match="shapes"):
+            buf.store(*bad)
+        assert len(buf) == 1
+
+    def test_capacity_one(self):
+        buf = self.make(capacity=1)
+        for k in range(3):
+            buf.store(*self.tr(k))
+            assert len(buf) == 1
+            s, a, r, s2, d = buf.sample(1)
+            assert s[0, 0] == k and r[0] == k and s2[0, 0] == k + 1
+        with pytest.raises(ValueError, match="buffer holds"):
+            buf.sample(2)
 
     def test_sampling_uniformity(self):
         n = 16
@@ -164,6 +229,22 @@ class TestSoftUpdate:
             gaps.append(max(np.max(np.abs(t - o))
                             for t, o in zip(target.weights, online.weights)))
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+    def test_matches_per_layer_formula(self):
+        target = neural.init_mlp([5, 8, 6, 2], ["relu", "tanh", "identity"], seed=2)
+        online = neural.init_mlp([5, 8, 6, 2], ["relu", "tanh", "identity"], seed=3)
+        ref_w = [w.copy() for w in target.weights]
+        ref_b = [b.copy() for b in target.biases]
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            online.params[...] += rng.normal(scale=0.1, size=online.params.size)
+            tau = float(rng.uniform(0.001, 0.5))
+            soft_update(target, online, tau)
+            for k in range(len(ref_w)):
+                ref_w[k] += tau * (online.weights[k] - ref_w[k])
+                ref_b[k] += tau * (online.biases[k] - ref_b[k])
+            assert all(np.array_equal(t, r) for t, r in zip(target.weights, ref_w))
+            assert all(np.array_equal(t, r) for t, r in zip(target.biases, ref_b))
 
     def test_shape_mismatch(self):
         target = neural.init_mlp([2, 1], ["identity"], seed=0)

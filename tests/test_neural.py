@@ -13,6 +13,7 @@ from gridevade.neural import (
     forward,
     forward_full,
     init_mlp,
+    input_gradient,
     load_checkpoint,
     parameter_count,
     save_checkpoint,
@@ -64,6 +65,79 @@ def set_flat_params(net, vec):
 def flat_grads(grads):
     return np.concatenate([g.ravel() for g in grads.weights] +
                           [g.ravel() for g in grads.biases])
+
+
+def flat_layer_by_layer(weights, biases):
+    """Layer arrays in the layout of Mlp.params: w0, b0, w1, b1, ..."""
+    return np.concatenate([g.ravel() for pair in zip(weights, biases) for g in pair])
+
+
+def per_layer_backward(net, output_gradient, cache):
+    """The per-layer backward pass: fresh arrays per layer, float relu mask."""
+    delta = np.asarray(output_gradient, dtype=float)
+    grad_w, grad_b = [None] * len(net.weights), [None] * len(net.biases)
+    for k in range(len(net.weights) - 1, -1, -1):
+        z, a = cache[k + 1]
+        act = net.activations[k]
+        if act == "relu":
+            d = (z > 0).astype(float)
+        elif act == "tanh":
+            d = 1.0 - a * a
+        elif act == "sigmoid":
+            d = a * (1.0 - a)
+        else:
+            d = np.ones_like(z)
+        delta = delta * d
+        grad_w[k] = cache[k][1].T @ delta
+        grad_b[k] = delta.sum(axis=0)
+        delta = delta @ net.weights[k].T
+    return grad_w, grad_b, delta
+
+
+class TestFlatParameters:
+    def test_views_share_params(self):
+        net = init_mlp([3, 4, 2], ["relu", "identity"], seed=0)
+        net.weights[1][2, 1] = 7.5
+        net.biases[0][...] = -1.25
+        assert 7.5 in net.params
+        assert np.count_nonzero(net.params == -1.25) == 4
+        assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
+
+    def test_layout_is_layer_by_layer(self):
+        net = init_mlp([3, 4, 2], ["relu", "identity"], seed=1)
+        want = np.concatenate([net.weights[0].ravel(), net.biases[0],
+                               net.weights[1].ravel(), net.biases[1]])
+        assert np.array_equal(net.params, want)
+
+    def test_views_cannot_be_rebound(self):
+        net = init_mlp([3, 2], ["identity"], seed=0)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((3, 2))
+        with pytest.raises(TypeError):
+            net.biases[0] = np.zeros(2)
+        for attr in ("weights", "biases", "params"):
+            with pytest.raises(AttributeError):
+                setattr(net, attr, getattr(net, attr))
+
+    def test_constructor_copies(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        net = Mlp([2, 3], ["identity"], [w], [b])
+        w[...] = 5.0
+        assert np.all(net.weights[0] == 1.0)
+
+    def test_copy_shares_no_memory(self):
+        net = init_mlp([3, 4, 2], ["relu", "identity"], seed=2)
+        dup = net.copy()
+        assert np.array_equal(dup.params, net.params)
+        assert not np.shares_memory(dup.params, net.params)
+        dup.weights[0][...] = 0.0
+        assert np.any(net.weights[0] != 0.0)
+        dup.layer_sizes.append(9)
+        assert net.layer_sizes == [3, 4, 2]
+
+    def test_layer_count_checked(self):
+        with pytest.raises(ValueError, match="one weight matrix"):
+            Mlp([2, 3, 1], ["relu", "identity"], [np.zeros((2, 3))], [np.zeros(3)])
 
 
 class TestInit:
@@ -186,7 +260,79 @@ class TestBackward:
             assert np.allclose(a, b, atol=1e-12)
 
 
+    def test_matches_per_layer_backward(self):
+        rng = np.random.default_rng(10)
+        acts = ["relu", "tanh", "sigmoid", "identity"]
+        for trial in range(40):
+            net = random_net(rng, sizes=[int(rng.integers(2, 9)) for _ in range(4)],
+                             acts=list(rng.choice(acts, size=3)))
+            x = rng.normal(size=(int(rng.integers(1, 70)), net.layer_sizes[0]))
+            g = rng.normal(size=(len(x), net.layer_sizes[-1]))
+            _, cache = forward_full(net, x)
+            want_w, want_b, want_in = per_layer_backward(net, g, cache)
+            grads, got_in = backward(net, x, g, cache=cache)
+            assert all(np.array_equal(a, b) for a, b in zip(grads.weights, want_w)), trial
+            assert all(np.array_equal(a, b) for a, b in zip(grads.biases, want_b)), trial
+            assert np.array_equal(grads.flat, flat_layer_by_layer(want_w, want_b))
+            assert np.array_equal(got_in, want_in)
+            assert np.array_equal(input_gradient(net, g, cache), want_in)
+
+    def test_input_gradient_single_vector(self):
+        net = init_mlp([4, 5, 2], ["relu", "tanh"], seed=3)
+        x = np.array([0.3, -0.1, 0.8, 0.2])
+        g = np.array([1.0, -2.0])
+        _, cache = forward_full(net, x)
+        got = input_gradient(net, g, cache)
+        assert got.shape == (4,)
+        assert np.array_equal(got, backward(net, x, g)[1])
+
+    def test_input_gradient_leaves_no_parameter_gradients(self):
+        net = init_mlp([3, 4, 1], ["relu", "identity"], seed=4)
+        before = net.params.copy()
+        _, cache = forward_full(net, np.ones((2, 3)))
+        input_gradient(net, np.ones((2, 1)), cache)
+        assert np.array_equal(net.params, before)
+
+
 class TestAdam:
+    def test_matches_per_layer_formula(self):
+        rng = np.random.default_rng(13)
+        net = init_mlp([5, 8, 6, 2], ["relu", "tanh", "identity"], seed=5)
+        opt = AdamState.for_net(net, lr=3e-3)
+        ref_w = [w.copy() for w in net.weights]
+        ref_b = [b.copy() for b in net.biases]
+        m_w = [np.zeros_like(w) for w in ref_w]
+        v_w = [np.zeros_like(w) for w in ref_w]
+        m_b = [np.zeros_like(b) for b in ref_b]
+        v_b = [np.zeros_like(b) for b in ref_b]
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.epsilon, opt.lr
+        for step in range(1, 21):
+            x = rng.normal(size=(16, 5))
+            grads, _ = backward(net, x, rng.normal(size=(16, 2)))
+            adam_step(opt, net, grads)
+            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+            for k in range(len(ref_w)):
+                gw, gb = grads.weights[k], grads.biases[k]
+                m_w[k] = b1 * m_w[k] + (1 - b1) * gw
+                v_w[k] = b2 * v_w[k] + (1 - b2) * gw * gw
+                m_b[k] = b1 * m_b[k] + (1 - b1) * gb
+                v_b[k] = b2 * v_b[k] + (1 - b2) * gb * gb
+                ref_w[k] -= lr * (m_w[k] / c1) / (np.sqrt(v_w[k] / c2) + eps)
+                ref_b[k] -= lr * (m_b[k] / c1) / (np.sqrt(v_b[k] / c2) + eps)
+            assert all(np.array_equal(a, b) for a, b in zip(net.weights, ref_w)), step
+            assert all(np.array_equal(a, b) for a, b in zip(net.biases, ref_b)), step
+
+    def test_list_gradients_match_backward_gradients(self):
+        net = init_mlp([3, 4, 1], ["tanh", "identity"], seed=6)
+        twin = net.copy()
+        opts = [AdamState.for_net(n) for n in (net, twin)]
+        grads, _ = backward(net, np.ones(3), np.ones(1))
+        listed = Gradients([w.copy() for w in grads.weights],
+                           [b.copy() for b in grads.biases])
+        adam_step(opts[0], net, grads)
+        adam_step(opts[1], twin, listed)
+        assert np.array_equal(net.params, twin.params)
+
     def test_zero_gradient_no_change(self):
         net = init_mlp([3, 2], ["identity"], seed=0)
         opt = AdamState.for_net(net)
