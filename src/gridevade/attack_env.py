@@ -201,6 +201,7 @@ class AttackEnv:
                             if mask is None else mask)
         if len(self.access_mask) != self.bus_count:
             raise ValueError("access_mask length does not match bus_count")
+        self._action_low, self._action_high = np.asarray(config.action_bounds, dtype=float).T
         self.exp_clamp_count = 0
         self._clamp_counter = [0]
         self._seed_seq = np.random.SeedSequence(seed)
@@ -244,11 +245,10 @@ class AttackEnv:
         return det.posterior(self.detector, feats)
 
     def clamp_action(self, action) -> tuple[np.ndarray, bool]:
-        bounds = np.asarray(self.config.action_bounds, dtype=float)
         a = np.asarray(action, dtype=float)
         if a.shape != (ACTION_DIM,):
             raise ValueError(f"action must have {ACTION_DIM} components")
-        clamped = np.clip(a, bounds[:, 0], bounds[:, 1])
+        clamped = np.clip(a, self._action_low, self._action_high)
         return clamped, bool(np.any(clamped != a))
 
     # -- public API -------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural
-from .attack_env import discounted_return
+from .attack_env import AgentState, discounted_return
 
 __all__ = [
     "ReplayBuffer",
@@ -147,8 +147,8 @@ def _scale_actions(agent: DdpgAgent, u: np.ndarray) -> np.ndarray:
 
 def act(agent: DdpgAgent, state, explore: bool) -> np.ndarray:
     """Deterministic policy action, optionally with clamped Gaussian noise."""
-    s = state.flatten() if hasattr(state, "flatten") else np.asarray(state, dtype=float)
-    s = np.asarray(s, dtype=float)
+    s = state.flatten() if isinstance(state, AgentState) else state
+    s = np.ravel(np.asarray(s, dtype=float))  # a view of an already-flat vector
     u = neural.forward(agent.actor, s)
     a = _scale_actions(agent, u)
     low, high = agent.action_bounds[:, 0], agent.action_bounds[:, 1]

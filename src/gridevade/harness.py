@@ -121,6 +121,20 @@ def _resolve(shipped: dict, user, path: str = "") -> dict:
     return resolved
 
 
+def _check_values(raw: dict) -> None:
+    """Reject values the pipeline would otherwise run on silently or fail on late."""
+    tr = raw["training"]
+    if tr["restarts"] < 1:
+        raise ValueError(f"config key 'training.restarts' must be >= 1, got {tr['restarts']}")
+    if tr["batch_size"] > tr["buffer_capacity"]:
+        raise ValueError(
+            f"config key 'training.batch_size' ({tr['batch_size']}) must not exceed "
+            f"'training.buffer_capacity' ({tr['buffer_capacity']}): no update could run")
+    for key in ("sigma_start", "sigma_end"):
+        if tr[key] < 0:
+            raise ValueError(f"config key 'training.{key}' must be >= 0, got {tr[key]}")
+
+
 def load_config(path=None, seed_override: int | None = None) -> RunConfig:
     """Load a YAML run config laid over the shipped one; None loads the shipped one.
 
@@ -132,6 +146,7 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
         raw = _resolve(raw, yaml.safe_load(Path(path).read_text()) or {})
     if seed_override is not None:
         raw["master_seed"] = int(seed_override)
+    _check_values(raw)
     master_seed = raw["master_seed"]
 
     case = load_case(raw["case_file"]) if raw["case_file"] else default_case()
@@ -288,11 +303,10 @@ def cmd_train_attacker(cfg: RunConfig, out_dir):
     if not ckpt.exists():
         raise FileNotFoundError(f"missing detector checkpoint {ckpt}; run train-detector first")
     model = det.load_detector(ckpt)
-    restarts = max(cfg.train_restarts, 1)
-    agent_seeds = derive_seeds(cfg.master_seed, _SEED_AGENT, restarts)
-    train_seeds = derive_seeds(cfg.master_seed, _SEED_ATTACK_TRAIN, restarts)
+    agent_seeds = derive_seeds(cfg.master_seed, _SEED_AGENT, cfg.train_restarts)
+    train_seeds = derive_seeds(cfg.master_seed, _SEED_ATTACK_TRAIN, cfg.train_restarts)
     best = None
-    for r in range(restarts):
+    for r in range(cfg.train_restarts):
         candidate = ddpg.make_agent(
             state_dim=2 * cfg.case.bus_count + 1,
             action_bounds=cfg.attack_config.action_bounds,
@@ -320,7 +334,7 @@ def cmd_train_attacker(cfg: RunConfig, out_dir):
         "tau": cfg.agent_tau,
         "seed": cfg.master_seed,
         "episodes": cfg.train_episodes,
-        "restarts": restarts,
+        "restarts": cfg.train_restarts,
         "selected_restart": chosen,
     }
     neural.save_checkpoint(agent.actor, actor_path, extra=meta)

@@ -62,16 +62,21 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation '{name}'")
 
 
-def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[tuple, tuple]:
-    """(weights, biases) as tuples of reshaped views into `flat`."""
-    weights, biases = [], []
+def _layout(layer_sizes) -> tuple:
+    """Per layer, (weight slice, weight shape, bias slice) into the flat vector."""
+    layout = []
     pos = 0
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(flat[pos : pos + n_in * n_out].reshape(n_in, n_out))
-        pos += n_in * n_out
-        biases.append(flat[pos : pos + n_out])
-        pos += n_out
-    return tuple(weights), tuple(biases)
+        w_end = pos + n_in * n_out
+        layout.append((slice(pos, w_end), (n_in, n_out), slice(w_end, w_end + n_out)))
+        pos = w_end + n_out
+    return tuple(layout)
+
+
+def _layer_views(flat: np.ndarray, layout) -> tuple[list, list]:
+    """(weights, biases) as lists of reshaped views into `flat`."""
+    return ([flat[w].reshape(shape) for w, shape, _ in layout],
+            [flat[b] for _, _, b in layout])
 
 
 class Mlp:
@@ -80,7 +85,8 @@ class Mlp:
     The constructor copies `weights` and `biases` into one flat vector
     `params`. `weights` and `biases` are then tuples of views into it: edit
     their elements in place (`net.weights[k][...] = w`); the tuples and
-    `params` cannot be rebound.
+    `params` cannot be rebound. `layout` holds each layer's (weight slice,
+    weight shape, bias slice) into `params`; gradients share it.
     """
 
     def __init__(self, layer_sizes, activations, weights, biases):
@@ -101,9 +107,9 @@ class Mlp:
                 raise ValueError(f"bias {k} has shape {np.shape(b)}, expected ({want[1]},)")
         self.layer_sizes = list(layer_sizes)
         self.activations = list(activations)
-        self._params = np.empty(sum((n_in + 1) * n_out for n_in, n_out
-                                    in zip(layer_sizes[:-1], layer_sizes[1:])))
-        self._weights, self._biases = _layer_views(self._params, self.layer_sizes)
+        self.layout = _layout(self.layer_sizes)
+        self._params = np.empty(self.layout[-1][2].stop)
+        self._weights, self._biases = map(tuple, _layer_views(self._params, self.layout))
         for view, w in zip(self._weights, weights):
             view[...] = w
         for view, b in zip(self._biases, biases):
@@ -220,8 +226,7 @@ def backward(net: Mlp, x, output_gradient, cache=None):
     if cache is None:
         _, cache = forward_full(net, x)
     flat = np.empty(net.params.size)
-    weights, biases = _layer_views(flat, net.layer_sizes)
-    grads = Gradients(list(weights), list(biases), flat)
+    grads = Gradients(*_layer_views(flat, net.layout), flat)
     input_grad = _backprop(net, output_gradient, cache, grads)
     return grads, input_grad
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridevade.attack_env import DEFAULT_IMPULSE_DENSITY, LAYOUT_PAD, NOISE_DOMAIN
 from gridevade.gabor import (
     GaborField,
     GaborKernelParams,
@@ -108,6 +109,19 @@ class TestGaborField:
         field = GaborField(self.KERNEL, [0.1], [0.3], [1.0])
         with pytest.raises(ValueError):
             field.impulses.x[0] = 5.0
+        for column in (field.x, field.y, field.weight):
+            with pytest.raises(ValueError):
+                column[0] = 5.0
+
+    def test_columns_are_contiguous_copies(self):
+        xs = np.array([0.1, 0.2, 0.3])
+        field = GaborField(self.KERNEL, xs, [0.3, 0.4, 0.5], [1.0, -1.0, 1.0])
+        xs[0] = 9.0  # the caller's array stays writable and unshared
+        assert np.array_equal(field.x, [0.1, 0.2, 0.3])
+        for column in (field.x, field.y, field.weight):
+            assert column.flags.c_contiguous
+        assert np.array_equal(field.impulses.x, field.x)
+        assert np.array_equal(field.impulses.weight, field.weight)
 
 
 class TestEvaluateField:
@@ -137,6 +151,93 @@ class TestEvaluateField:
         xs = rng.uniform(0, 1.2, 500)
         ys = rng.uniform(0, 2.3, 500)
         assert np.max(np.abs(evaluate_field(field, xs, ys))) <= bound + 1e-9
+
+
+def fsum_field(field, qx, qy):
+    """math.fsum of the literal kernel terms at each query point, and of their |terms|."""
+    k = field.kernel
+    values, scales = [], []
+    for px, py in zip(qx, qy):
+        dx = px - field.x
+        dy = py - field.y
+        terms = field.weight * k.K * np.exp(-math.pi * k.sigma**2 * (dx * dx + dy * dy)) * np.cos(
+            2 * math.pi * k.F0 * (dx * math.cos(k.omega0) + dy * math.sin(k.omega0)))
+        values.append(math.fsum(terms))
+        scales.append(math.fsum(np.abs(terms)))
+    return np.array(values), np.array(scales)
+
+
+class TestEvaluateFieldPrecision:
+    """The angle-difference evaluation against a math.fsum direct sum.
+
+    Fields have the shipped size (about 1400 impulses over the padded
+    domain); with F0 up to 5 the carrier phases reach about 200 rad.
+    """
+
+    TOL = 1e-12
+
+    def shipped_field(self, kernel, seed):
+        return build_field(kernel, DEFAULT_IMPULSE_DENSITY, NOISE_DOMAIN, seed=seed,
+                           pad=LAYOUT_PAD)
+
+    def assert_close(self, field, qx, qy):
+        got = evaluate_field(field, qx, qy)
+        want, scale = fsum_field(field, qx, qy)
+        assert np.all(np.abs(got - want) <= self.TOL * (1.0 + scale))
+
+    def test_random_kernels_at_bus_coordinates(self):
+        rng = np.random.default_rng(31)
+        bus_y = np.log(np.arange(9) + 1.0)
+        for i in range(60):
+            kernel = GaborKernelParams(
+                K=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.05, 2.0),
+                F0=rng.uniform(0.0, 5.0), omega0=rng.uniform(0.0, math.pi * 0.999))
+            field = self.shipped_field(kernel, seed=i)
+            assert len(field) > 1200
+            self.assert_close(field, rng.uniform(0.5, 1.2, 9), bus_y)
+
+    def test_extreme_kernels_across_domain(self):
+        rng = np.random.default_rng(32)
+        qx, qy = rng.uniform(0.0, 1.2, 25), rng.uniform(0.0, math.log(10.0), 25)
+        for sigma in (0.05, 2.0):
+            for omega0 in (0.0, math.pi / 4, math.pi * 0.999):
+                field = self.shipped_field(GaborKernelParams(sigma=sigma, F0=5.0, omega0=omega0), 5)
+                self.assert_close(field, qx, qy)
+
+    def test_sigma_zero_is_a_plain_cosine_sum(self):
+        field = self.shipped_field(GaborKernelParams(sigma=0.0, F0=3.7, omega0=0.9), 6)
+        self.assert_close(field, np.linspace(0.0, 1.2, 9), np.log(np.arange(9) + 1.0))
+
+    def test_frequency_zero_is_a_gaussian_sum(self):
+        field = self.shipped_field(GaborKernelParams(sigma=0.8, F0=0.0, omega0=1.3), 7)
+        qx, qy = np.linspace(0.0, 1.2, 9), np.log(np.arange(9) + 1.0)
+        self.assert_close(field, qx, qy)
+        gauss = [math.fsum(field.weight * np.exp(-math.pi * 0.64 * ((x - field.x) ** 2
+                                                                    + (y - field.y) ** 2)))
+                 for x, y in zip(qx, qy)]
+        assert np.allclose(evaluate_field(field, qx, qy), gauss, rtol=0, atol=1e-12)
+
+    def test_empty_field_keeps_query_shape(self):
+        out = evaluate_field(EMPTY, np.ones((2, 3)), np.zeros((2, 3)))
+        assert out.shape == (2, 3)
+        assert not out.any()
+
+    def test_scalar_query_returns_float(self):
+        field = self.shipped_field(GaborKernelParams(sigma=0.7, F0=2.3, omega0=1.1), 8)
+        got = evaluate_field(field, 0.95, 0.7)
+        assert type(got) is float
+        assert type(evaluate_field(EMPTY, 0.95, 0.7)) is float
+        self.assert_close(field, [0.95], [0.7])
+        assert got == pytest.approx(evaluate_field(field, [0.95], [0.7])[0], rel=0, abs=1e-12)
+
+    def test_query_shapes_broadcast(self):
+        field = self.shipped_field(GaborKernelParams(sigma=0.7, F0=2.3, omega0=1.1), 9)
+        grid = np.linspace(0.0, 1.2, 6).reshape(2, 3)
+        for qx, qy in ((grid, 0.4), (0.4, grid)):
+            got = evaluate_field(field, qx, qy)
+            assert got.shape == (2, 3)
+            want, _ = fsum_field(field, *(np.broadcast_to(q, (2, 3)).ravel() for q in (qx, qy)))
+            assert np.allclose(got.ravel(), want, rtol=0, atol=1e-11)
 
 
 class TestBuildField:

@@ -90,6 +90,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("training: {restarts: 0}", "config key 'training.restarts' must be >= 1, got 0"),
+        ("training: {restarts: -2}", "config key 'training.restarts' must be >= 1, got -2"),
+        ("training: {batch_size: 65, buffer_capacity: 64}",
+         "config key 'training.batch_size' (65) must not exceed 'training.buffer_capacity' (64)"),
+        ("training: {sigma_start: -1}", "config key 'training.sigma_start' must be >= 0, got -1.0"),
+        ("training: {sigma_end: -0.01}", "config key 'training.sigma_end' must be >= 0, got -0.01"),
+    ])
+    def test_impossible_training_value_names_its_path(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load_text(tmp_path, text + "\n")
+
+    def test_training_value_limits_are_accepted(self, tmp_path):
+        cfg = self.load_text(
+            tmp_path, "training: {restarts: 1, batch_size: 64, buffer_capacity: 64, "
+                      "sigma_start: 0, sigma_end: 0}\n")
+        assert cfg.train_restarts == 1
+        assert cfg.train_config.batch_size == cfg.train_config.buffer_capacity == 64
+        assert cfg.train_config.sigma_start == cfg.train_config.sigma_end == 0.0
+
     def test_unknown_key_fails_via_cli(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("training:\n  restrats: 2\n")
