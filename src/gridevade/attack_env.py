@@ -3,7 +3,9 @@
 Each step turns an RL action (sigma, F0, omega0) into a constrained
 per-bus perturbation on attacker-accessible buses, queries the detector
 black-box on the compromised window, and emits state, reward, and
-termination. The detector is only touched through `posterior`.
+termination. The env also writes the episode record: `reset` fills it
+with the clean replay and each `step` overwrites its row (`record`).
+The detector is only touched through `posterior`.
 """
 
 from __future__ import annotations
@@ -204,7 +206,6 @@ class AttackEnv:
         self._action_low, self._action_high = np.asarray(config.action_bounds, dtype=float).T
         self.exp_clamp_count = 0
         self._clamp_counter = [0]
-        self._seed_seq = np.random.SeedSequence(seed)
         self._episode = -1
         self._done = True
 
@@ -216,7 +217,7 @@ class AttackEnv:
         if self.t_f < 1:
             raise ValueError("trace too short for one environment step")
         self._t0 = t0
-        # Clean posteriors of frames t0..end, for info/diagnostics only.
+        # Clean posteriors of frames t0..end.
         self.clean_posterior = np.array([
             det.posterior(self.detector, det.featurize(self.trace, t, self.window))
             for t in range(t0, self.trace.n_frames)
@@ -258,8 +259,21 @@ class AttackEnv:
         self._episode += 1
         self._step_idx = 0
         self._done = False
-        self._frame = self._t0
         self._compromised = self.trace.frames.copy()
+        frames = np.arange(self._t0 + 1, self._t0 + 1 + self.t_f)
+        labels = self.trace.labels[frames]
+        clean = self.clean_posterior[1 : 1 + self.t_f]
+        # The episode record; step i writes row i, the rest read as the clean replay.
+        self._record = {
+            "frame": frames,
+            "time": self.trace.times[frames],
+            "label": labels,
+            "reward": np.zeros(self.t_f),
+            "c": np.abs(labels - clean),
+            "clean_posterior": clean,
+            "attacked_posterior": clean.copy(),
+            "perturbations": np.zeros((self.t_f, self.bus_count)),
+        }
         x0 = np.abs(self.trace.frames[self._t0])
         c0 = misdirection(int(self.trace.labels[self._t0]),
                           float(self.clean_posterior[0]))
@@ -271,8 +285,10 @@ class AttackEnv:
         if self._done:
             raise EpisodeDone("episode is over; call reset()")
         action, was_clamped = self.clamp_action(action)
+        row = self._step_idx
         self._step_idx += 1
-        t = self._frame + 1
+        t = self._t0 + self._step_idx
+        rec = self._record
         field = self._build_field(action)
 
         clean_frame = self.trace.frames[t]
@@ -283,29 +299,39 @@ class AttackEnv:
         self._compromised[t] = clean_frame + n
 
         p_attacked = self._attacked_posterior(t)
-        label = int(self.trace.labels[t])
+        label = int(rec["label"][row])
         c_next = misdirection(label, p_attacked)
         rp = self.config.reward_params
         x_pen = self._compromised[t] if rp.use_compromised_x else clean_frame
         r = reward(c_next, x_pen, n, rp, clamp_counter=self._clamp_counter)
         self.exp_clamp_count = self._clamp_counter[0]
 
-        self._frame = t
+        rec["reward"][row] = r
+        rec["c"][row] = c_next
+        rec["attacked_posterior"][row] = p_attacked
+        rec["perturbations"][row] = n
+
         self._done = self._step_idx >= self.t_f
         next_state = AgentState(x=np.abs(clean_frame), n=n, c=c_next)
         self.state = next_state
         info = {
             "frame": t,
-            "time": float(self.trace.times[t]),
             "label": label,
             "action": action,
             "action_clamped": was_clamped,
             "perturbation": n,
-            "clean_posterior": float(self.clean_posterior[t - self._t0]),
+            "clean_posterior": float(rec["clean_posterior"][row]),
             "attacked_posterior": p_attacked,
-            "max_abs_n": float(np.max(np.abs(n))),
         }
         return StepOutcome(next_state=next_state, reward=r, done=self._done, info=info)
+
+    def record(self) -> dict:
+        """A copy of the episode record, with `max_abs_n` per row and the
+        `compromised_frames`; an episode never stepped gives the clean replay."""
+        rec = {k: v.copy() for k, v in self._record.items()}
+        rec["max_abs_n"] = np.max(np.abs(rec["perturbations"]), axis=1)
+        rec["compromised_frames"] = self._compromised[rec["frame"]]
+        return rec
 
     @property
     def state_dim(self) -> int:

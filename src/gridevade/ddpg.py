@@ -105,12 +105,6 @@ class DdpgAgent:
         if self.critic.layer_sizes[0] != self.actor.layer_sizes[0] + self.action_bounds.shape[0]:
             raise ValueError("critic input dim must be state dim + action dim")
 
-    def copy_nets(self) -> dict:
-        return {
-            "actor": self.actor.copy(),
-            "critic": self.critic.copy(),
-        }
-
 
 def make_agent(state_dim: int, action_bounds, seed: int = 0, hidden=(64, 64),
                gamma: float = 0.95, tau: float = 0.005,
@@ -264,8 +258,7 @@ def train(agent: DdpgAgent, env_factory, episodes: int, config: TrainConfig):
         })
         if ep_return > best_return:
             best_return = ep_return
-            best_nets = agent.copy_nets()
+            best_nets = (agent.actor.copy(), agent.critic.copy())
     if best_nets is not None:
-        agent.actor = best_nets["actor"]
-        agent.critic = best_nets["critic"]
+        agent.actor, agent.critic = best_nets
     return agent, curve

@@ -27,7 +27,6 @@ __all__ = [
     "gabor_kernel",
     "evaluate_field",
     "build_field",
-    "bus_coordinate",
     "perturbation_vector",
 ]
 
@@ -163,13 +162,6 @@ def build_field(
     ys = rng.uniform(y_min - pad, y_max + pad, size=count)
     ws = rng.choice([-1.0, 1.0], size=count)
     return GaborField(kernel, xs, ys, ws)
-
-
-def bus_coordinate(i: int) -> float:
-    """Vertical noise-plane coordinate of bus `i` (zero-based): ln(i + 1)."""
-    if i < 0:
-        raise ValueError(f"bus index must be >= 0, got {i}")
-    return math.log(i + 1)
 
 
 def perturbation_vector(field: GaborField, frame) -> np.ndarray:

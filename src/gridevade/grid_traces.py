@@ -93,6 +93,11 @@ class TraceScenario:
     def with_seed(self, seed: int) -> "TraceScenario":
         return replace(self, seed=seed)
 
+    @property
+    def n_frames(self) -> int:
+        """Frames of a generated trace: one every `dt` over `horizon`."""
+        return int(round(self.horizon / self.dt))
+
 
 @dataclass(frozen=True)
 class MeasurementTrace:
@@ -130,7 +135,7 @@ def transient(tau, depth: float, damping: float, freq: float):
 def generate_trace(scenario: TraceScenario) -> MeasurementTrace:
     """Simulate one labeled trace; deterministic given scenario.seed."""
     case = scenario.case
-    n = int(round(scenario.horizon / scenario.dt))
+    n = scenario.n_frames
     times = np.arange(n) * scenario.dt
     labels = (times >= scenario.fault_start).astype(int)
 

@@ -121,7 +121,7 @@ def _resolve(shipped: dict, user, path: str = "") -> dict:
     return resolved
 
 
-def _check_values(raw: dict) -> None:
+def _check_values(raw: dict, n_frames: int) -> None:
     """Reject values the pipeline would otherwise run on silently or fail on late."""
     tr = raw["training"]
     if tr["restarts"] < 1:
@@ -133,6 +133,19 @@ def _check_values(raw: dict) -> None:
     for key in ("sigma_start", "sigma_end"):
         if tr[key] < 0:
             raise ValueError(f"config key 'training.{key}' must be >= 0, got {tr[key]}")
+    steps = n_frames - raw["detector"]["window"]
+    horizon = raw["attack"]["reward"]["horizon_frames"]
+    if horizon is not None and horizon > steps:
+        raise ValueError(
+            f"config key 'attack.reward.horizon_frames' ({horizon}) must not exceed the "
+            f"{steps} frames a trace has after its first detector window")
+    # train_step runs once the buffer holds max(batch_size, warmup) transitions.
+    held = min(tr["buffer_capacity"], tr["episodes"] * (steps if horizon is None else horizon))
+    key = "warmup" if tr["warmup"] >= tr["batch_size"] else "batch_size"
+    if tr["episodes"] >= 1 and tr[key] > held:
+        raise ValueError(
+            f"config key 'training.{key}' ({tr[key]}) must not exceed the {held} transitions "
+            f"the replay buffer holds by the end of training: no update could run")
 
 
 def load_config(path=None, seed_override: int | None = None) -> RunConfig:
@@ -146,11 +159,11 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
         raw = _resolve(raw, yaml.safe_load(Path(path).read_text()) or {})
     if seed_override is not None:
         raw["master_seed"] = int(seed_override)
-    _check_values(raw)
     master_seed = raw["master_seed"]
 
     case = load_case(raw["case_file"]) if raw["case_file"] else default_case()
     scenario = TraceScenario(case=case, seed=master_seed, **raw["scenario"])
+    _check_values(raw, scenario.n_frames)
 
     dc = dict(raw["detector"])
     train_traces, split_ratio = dc.pop("train_traces"), dc.pop("split_ratio")
@@ -374,30 +387,13 @@ def trained_policy(agent: ddpg.DdpgAgent):
 
 
 def run_attack_episode(env: AttackEnv, policy) -> dict:
-    """Roll one episode; returns arrays of per-step records."""
+    """Roll one episode of `policy` and return the env's episode record."""
     state = env.reset()
-    rows = {k: [] for k in ("frame", "time", "label", "reward", "c",
-                            "clean_posterior", "attacked_posterior", "max_abs_n")}
-    perturbations = []
     done = False
     while not done:
         outcome = env.step(policy(state))
-        info = outcome.info
-        rows["frame"].append(info["frame"])
-        rows["time"].append(info["time"])
-        rows["label"].append(info["label"])
-        rows["reward"].append(outcome.reward)
-        rows["c"].append(outcome.next_state.c)
-        rows["clean_posterior"].append(info["clean_posterior"])
-        rows["attacked_posterior"].append(info["attacked_posterior"])
-        rows["max_abs_n"].append(info["max_abs_n"])
-        perturbations.append(info["perturbation"])
-        state = outcome.next_state
-        done = outcome.done
-    out = {k: np.asarray(v) for k, v in rows.items()}
-    out["perturbations"] = np.asarray(perturbations)
-    out["compromised_frames"] = env.trace.frames[out["frame"]] + out["perturbations"]
-    return out
+        state, done = outcome.next_state, outcome.done
+    return env.record()
 
 
 def _delay(times, labels, flagged) -> float | None:
@@ -450,22 +446,9 @@ def evaluate_baseline(cfg: RunConfig, model: det.DetectorModel, baseline: str,
     for i, seed in enumerate(seeds):
         env = AttackEnv(cfg.scenario.with_seed(seed), model, cfg.attack_config, seed=seed)
         if baseline == "none":
-            # No attack: replay the clean posterior series as both curves,
-            # over the t_f frames an attacked episode steps through.
-            frames = np.arange(env.window, env.window + env.t_f)
-            labels = env.trace.labels[frames]
-            clean = env.clean_posterior[1 : 1 + env.t_f]
-            runs.append({
-                "frame": frames,
-                "time": env.trace.times[frames], "label": labels,
-                "reward": np.zeros(env.t_f),
-                "c": np.abs(labels - clean),
-                "clean_posterior": clean,
-                "attacked_posterior": clean.copy(),
-                "max_abs_n": np.zeros(env.t_f),
-                "perturbations": np.zeros((env.t_f, env.bus_count)),
-                "compromised_frames": env.trace.frames[frames],
-            })
+            # An episode that is never stepped is the clean replay.
+            env.reset()
+            runs.append(env.record())
             continue
         if baseline == "random_hyperparams":
             policy = random_policy(cfg.attack_config.action_bounds, seed=seed ^ 0xA5A5)

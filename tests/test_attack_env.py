@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridevade import detector as det
 from gridevade.attack_env import (
     ACTION_DIM,
     AgentState,
@@ -295,3 +296,79 @@ class TestStep:
         env.reset()
         n2 = env.step(self.ACTION).info["perturbation"]
         assert np.array_equal(n1, n2)
+
+
+class TestRecord:
+    ACTION = np.array([0.5, 1.0, 0.3])
+
+    @staticmethod
+    def play(env, actions):
+        outs = []
+        for a in actions:
+            outs.append(env.step(a))
+            if outs[-1].done:
+                break
+        return outs
+
+    def test_rows_are_the_steps(self, default_scenario, trained_detector):
+        env = make_env(default_scenario, trained_detector, field_seed_policy="per-step")
+        env.reset()
+        rng = np.random.default_rng(0)
+        outs = self.play(env, rng.uniform([0.05, 0.05, 0.0], [2.0, 5.0, 3.0],
+                                          size=(env.t_f, ACTION_DIM)))
+        rec = env.record()
+        assert outs[-1].done and len(outs) == env.t_f
+        assert {len(v) for v in rec.values()} == {env.t_f}
+        for i, out in enumerate(outs):
+            assert rec["frame"][i] == out.info["frame"]
+            assert rec["label"][i] == out.info["label"]
+            assert rec["reward"][i] == out.reward
+            assert rec["c"][i] == out.next_state.c
+            assert rec["clean_posterior"][i] == out.info["clean_posterior"]
+            assert rec["attacked_posterior"][i] == out.info["attacked_posterior"]
+            assert np.array_equal(rec["perturbations"][i], out.info["perturbation"])
+        assert np.array_equal(rec["time"], env.trace.times[rec["frame"]])
+        assert np.array_equal(rec["max_abs_n"], np.abs(rec["perturbations"]).max(axis=1))
+        assert np.array_equal(rec["compromised_frames"],
+                              env.trace.frames[rec["frame"]] + rec["perturbations"])
+
+    def test_reset_only_record_is_the_clean_replay(self, default_scenario, trained_detector):
+        env = make_env(default_scenario, trained_detector)
+        env.reset()
+        rec = env.record()
+        frames = np.arange(env.window, env.window + env.t_f)
+        clean = [det.posterior(trained_detector, det.featurize(env.trace, t, env.window))
+                 for t in frames]
+        assert np.array_equal(rec["frame"], frames)
+        assert np.array_equal(rec["label"], env.trace.labels[frames])
+        assert np.array_equal(rec["time"], env.trace.times[frames])
+        assert rec["clean_posterior"] == pytest.approx(clean, rel=0, abs=1e-12)
+        assert np.array_equal(rec["attacked_posterior"], rec["clean_posterior"])
+        assert np.array_equal(rec["c"], np.abs(rec["label"] - rec["clean_posterior"]))
+        assert not rec["reward"].any()
+        assert not rec["perturbations"].any() and not rec["max_abs_n"].any()
+        assert rec["perturbations"].shape == (env.t_f, env.bus_count)
+        assert np.array_equal(rec["compromised_frames"], env.trace.frames[frames])
+
+    def test_rows_not_yet_stepped_read_clean(self, default_scenario, trained_detector):
+        env = make_env(default_scenario, trained_detector)
+        env.reset()
+        clean = env.record()
+        self.play(env, [self.ACTION] * 5)
+        rec = env.record()
+        assert rec["perturbations"][:5].any()
+        assert not clean["perturbations"].any()
+        for key, column in clean.items():
+            assert np.array_equal(rec[key][5:], column[5:]), key
+
+    def test_record_outlives_its_episode(self, default_scenario, trained_detector):
+        env = make_env(default_scenario, trained_detector)
+        env.reset()
+        self.play(env, [self.ACTION] * env.t_f)
+        rec = env.record()
+        kept = {k: v.copy() for k, v in rec.items()}
+        env.reset()
+        assert all(np.array_equal(rec[k], kept[k]) for k in kept)
+        self.play(env, [np.array([1.5, 4.0, 2.0])] * env.t_f)
+        assert all(np.array_equal(rec[k], kept[k]) for k in kept)
+        assert not np.array_equal(env.record()["perturbations"], rec["perturbations"])

@@ -8,7 +8,6 @@ from gridevade.gabor import (
     GaborField,
     GaborKernelParams,
     build_field,
-    bus_coordinate,
     evaluate_field,
     gabor_kernel,
     perturbation_vector,
@@ -288,21 +287,6 @@ class TestBuildField:
             build_field(self.KERNEL, 0.0, DOMAIN, seed=0)
 
 
-class TestBusCoordinate:
-    def test_first_bus_is_zero(self):
-        assert bus_coordinate(0) == 0.0
-
-    def test_second_bus_is_ln_two(self):
-        assert bus_coordinate(1) == pytest.approx(0.6931471805599453, rel=1e-12)
-
-    def test_last_nine_bus_is_ln_nine(self):
-        assert bus_coordinate(8) == pytest.approx(2.1972245773362196, rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bus_coordinate(-1)
-
-
 class TestPerturbationVector:
     def test_empty_field_gives_zero_vector(self):
         n = perturbation_vector(EMPTY, np.ones(9))
@@ -324,7 +308,7 @@ class TestPerturbationVector:
         n = perturbation_vector(field, frame)
         for i, v in enumerate(frame):
             assert n[i] == pytest.approx(
-                evaluate_field(field, abs(v), bus_coordinate(i)), rel=1e-12)
+                evaluate_field(field, abs(v), math.log(i + 1)), rel=1e-12)
 
     def test_nonfinite_frame_rejected(self):
         with pytest.raises(ValueError):

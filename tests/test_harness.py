@@ -97,15 +97,46 @@ class TestConfig:
          "config key 'training.batch_size' (65) must not exceed 'training.buffer_capacity' (64)"),
         ("training: {sigma_start: -1}", "config key 'training.sigma_start' must be >= 0, got -1.0"),
         ("training: {sigma_end: -0.01}", "config key 'training.sigma_end' must be >= 0, got -0.01"),
+        # No update can run: train_step waits for max(batch_size, warmup)
+        # transitions, and the buffer never holds that many.
+        ("training: {episodes: 2}",
+         "config key 'training.warmup' (256) must not exceed the 180 transitions"),
+        ("training: {warmup: 300, buffer_capacity: 299}",
+         "config key 'training.warmup' (300) must not exceed the 299 transitions"),
+        ("training: {episodes: 1, warmup: 0, batch_size: 100}",
+         "config key 'training.batch_size' (100) must not exceed the 90 transitions"),
+        ("{attack: {reward: {horizon_frames: 40}}, training: {episodes: 6}}",
+         "config key 'training.warmup' (256) must not exceed the 240 transitions"),
     ])
     def test_impossible_training_value_names_its_path(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("attack: {reward: {horizon_frames: 91}}",
+         "config key 'attack.reward.horizon_frames' (91) must not exceed the 90 frames"),
+        ("attack: {reward: {horizon_frames: 5000}}",
+         "config key 'attack.reward.horizon_frames' (5000) must not exceed the 90 frames"),
+        ("{scenario: {horizon: 8.0}, attack: {reward: {horizon_frames: 71}}}",
+         "config key 'attack.reward.horizon_frames' (71) must not exceed the 70 frames"),
+    ])
+    def test_horizon_past_the_trace_names_its_path(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load_text(tmp_path, text + "\n")
+
+    @pytest.mark.parametrize("text", [
+        "attack: {reward: {horizon_frames: 90}}",
+        "training: {episodes: 3, warmup: 270}",
+        "{attack: {reward: {horizon_frames: 32}}, training: {episodes: 8}}",
+        "training: {episodes: 0, warmup: 100000}",
+    ])
+    def test_run_length_limits_are_accepted(self, tmp_path, text):
+        self.load_text(tmp_path, text + "\n")
+
     def test_training_value_limits_are_accepted(self, tmp_path):
         cfg = self.load_text(
             tmp_path, "training: {restarts: 1, batch_size: 64, buffer_capacity: 64, "
-                      "sigma_start: 0, sigma_end: 0}\n")
+                      "warmup: 64, sigma_start: 0, sigma_end: 0}\n")
         assert cfg.train_restarts == 1
         assert cfg.train_config.batch_size == cfg.train_config.buffer_capacity == 64
         assert cfg.train_config.sigma_start == cfg.train_config.sigma_end == 0.0
@@ -242,14 +273,18 @@ class TestEvaluateBaseline:
         cfg = load_config(p)
         agent = ddpg.make_agent(2 * cfg.case.bus_count + 1,
                                 cfg.attack_config.action_bounds, seed=0)
-        frames = []
+        runs = []
         for baseline in harness.BASELINES:
             _, (run,) = harness.evaluate_baseline(cfg, trained_detector, baseline,
                                                   agent=agent, episodes=1)
             assert {len(v) for v in run.values()} == {40}
-            frames.append(run["frame"])
-        assert np.array_equal(frames[0], np.arange(10, 50))
-        assert all(np.array_equal(f, frames[0]) for f in frames)
+            runs.append(run)
+        assert np.array_equal(runs[0]["frame"], np.arange(10, 50))
+        schema = {k: (v.dtype, v.shape) for k, v in runs[0].items()}
+        assert len(schema) == 10
+        for run in runs:
+            assert np.array_equal(run["frame"], runs[0]["frame"])
+            assert {k: (v.dtype, v.shape) for k, v in run.items()} == schema
 
 
 class TestMissingArtifacts:
