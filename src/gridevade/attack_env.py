@@ -5,7 +5,7 @@ per-bus perturbation on attacker-accessible buses, queries the detector
 black-box on the compromised window, and emits state, reward, and
 termination. The env also writes the episode record: `reset` fills it
 with the clean replay and each `step` overwrites its row (`record`).
-The detector is only touched through `posterior`.
+The detector is only touched through `posterior` and `posterior_series`.
 """
 
 from __future__ import annotations
@@ -218,10 +218,7 @@ class AttackEnv:
             raise ValueError("trace too short for one environment step")
         self._t0 = t0
         # Clean posteriors of frames t0..end.
-        self.clean_posterior = np.array([
-            det.posterior(self.detector, det.featurize(self.trace, t, self.window))
-            for t in range(t0, self.trace.n_frames)
-        ])
+        self.clean_posterior = det.posterior_series(self.detector, self.trace)
 
     # -- internal helpers -------------------------------------------------
 

@@ -26,6 +26,7 @@ __all__ = [
     "featurize",
     "train_detector",
     "posterior",
+    "posterior_series",
     "evaluate_detector",
     "save_detector",
     "load_detector",
@@ -140,7 +141,8 @@ def posterior(model: DetectorModel, features) -> float:
     return float(out[0])
 
 
-def _posterior_series(model: DetectorModel, trace: MeasurementTrace):
+def posterior_series(model: DetectorModel, trace: MeasurementTrace) -> np.ndarray:
+    """Posteriors of every full window of `trace`, ending at frames window-1..end."""
     w = model.window
     X = np.array([featurize(trace, t, w) for t in range(w - 1, trace.n_frames)])
     return neural.forward(model.net, X)[:, 0]
@@ -154,7 +156,7 @@ def evaluate_detector(model: DetectorModel, traces) -> DetectorReport:
     series, delays = [], []
     for tr in traces:
         w = model.window
-        post = _posterior_series(model, tr)
+        post = posterior_series(model, tr)
         times = tr.times[w - 1 :]
         labels = tr.labels[w - 1 :]
         pred = (post >= model.threshold).astype(int)
