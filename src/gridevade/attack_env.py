@@ -274,8 +274,7 @@ class AttackEnv:
         x0 = np.abs(self.trace.frames[self._t0])
         c0 = misdirection(int(self.trace.labels[self._t0]),
                           float(self.clean_posterior[0]))
-        self.state = AgentState(x=x0, n=np.zeros(self.bus_count), c=c0)
-        return self.state
+        return AgentState(x=x0, n=np.zeros(self.bus_count), c=c0)
 
     def step(self, action) -> StepOutcome:
         """Apply one perturbation action to the next frame."""
@@ -310,7 +309,6 @@ class AttackEnv:
 
         self._done = self._step_idx >= self.t_f
         next_state = AgentState(x=np.abs(clean_frame), n=n, c=c_next)
-        self.state = next_state
         info = {
             "frame": t,
             "label": label,
@@ -323,8 +321,9 @@ class AttackEnv:
         return StepOutcome(next_state=next_state, reward=r, done=self._done, info=info)
 
     def record(self) -> dict:
-        """A copy of the episode record, with `max_abs_n` per row and the
-        `compromised_frames`; an episode never stepped gives the clean replay."""
+        """Copy of the episode record, plus `max_abs_n` and `compromised_frames`.
+
+        Rows not yet stepped read as the clean replay."""
         rec = {k: v.copy() for k, v in self._record.items()}
         rec["max_abs_n"] = np.max(np.abs(rec["perturbations"]), axis=1)
         rec["compromised_frames"] = self._compromised[rec["frame"]]

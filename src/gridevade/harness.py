@@ -135,10 +135,10 @@ def _check_values(raw: dict, n_frames: int) -> None:
             raise ValueError(f"config key 'training.{key}' must be >= 0, got {tr[key]}")
     steps = n_frames - raw["detector"]["window"]
     horizon = raw["attack"]["reward"]["horizon_frames"]
-    if horizon is not None and horizon > steps:
+    if horizon is not None and (type(horizon) is not int or not 1 <= horizon <= steps):
         raise ValueError(
-            f"config key 'attack.reward.horizon_frames' ({horizon}) must not exceed the "
-            f"{steps} frames a trace has after its first detector window")
+            f"config key 'attack.reward.horizon_frames' must be null or an int from 1 to "
+            f"{steps}, the frames a trace has after its first detector window; got {horizon!r}")
     # train_step runs once the buffer holds max(batch_size, warmup) transitions.
     held = min(tr["buffer_capacity"], tr["episodes"] * (steps if horizon is None else horizon))
     key = "warmup" if tr["warmup"] >= tr["batch_size"] else "batch_size"

@@ -112,15 +112,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
 
-    @pytest.mark.parametrize("text, message", [
-        ("attack: {reward: {horizon_frames: 91}}",
-         "config key 'attack.reward.horizon_frames' (91) must not exceed the 90 frames"),
-        ("attack: {reward: {horizon_frames: 5000}}",
-         "config key 'attack.reward.horizon_frames' (5000) must not exceed the 90 frames"),
-        ("{scenario: {horizon: 8.0}, attack: {reward: {horizon_frames: 71}}}",
-         "config key 'attack.reward.horizon_frames' (71) must not exceed the 70 frames"),
+    @pytest.mark.parametrize("text, steps, got", [
+        ("attack: {reward: {horizon_frames: 91}}", 90, "91"),
+        ("attack: {reward: {horizon_frames: 5000}}", 90, "5000"),
+        ("{scenario: {horizon: 8.0}, attack: {reward: {horizon_frames: 71}}}", 70, "71"),
+        ("attack: {reward: {horizon_frames: 0}}", 90, "0"),
+        ("attack: {reward: {horizon_frames: 2.5}}", 90, "2.5"),
+        ("attack: {reward: {horizon_frames: true}}", 90, "True"),
+        ("attack: {reward: {horizon_frames: ten}}", 90, "'ten'"),
     ])
-    def test_horizon_past_the_trace_names_its_path(self, tmp_path, text, message):
+    def test_horizon_past_the_trace_names_its_path(self, tmp_path, text, steps, got):
+        message = (f"config key 'attack.reward.horizon_frames' must be null or an int from 1 "
+                   f"to {steps}, the frames a trace has after its first detector window; "
+                   f"got {got}")
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
 
