@@ -328,6 +328,8 @@ class TestRecord:
             assert rec["attacked_posterior"][i] == out.info["attacked_posterior"]
             assert np.array_equal(rec["perturbations"][i], out.info["perturbation"])
         assert np.array_equal(rec["time"], env.trace.times[rec["frame"]])
+        assert np.array_equal(rec["clean_posterior"],
+                              det.posterior_series(trained_detector, env.trace)[1:])
         assert np.array_equal(rec["max_abs_n"], np.abs(rec["perturbations"]).max(axis=1))
         assert np.array_equal(rec["compromised_frames"],
                               env.trace.frames[rec["frame"]] + rec["perturbations"])
