@@ -213,7 +213,10 @@ class AttackEnv:
         t0 = self.window - 1
         max_steps = self.trace.n_frames - self.window
         hf = config.reward_params.horizon_frames
-        self.t_f = max_steps if hf is None else min(hf, max_steps)
+        if hf is not None and hf > max_steps:
+            raise ValueError(
+                f"horizon_frames {hf} exceeds the {max_steps} steps of the trace")
+        self.t_f = max_steps if hf is None else hf
         if self.t_f < 1:
             raise ValueError("trace too short for one environment step")
         self._t0 = t0
@@ -288,9 +291,8 @@ class AttackEnv:
         field = self._build_field(action)
 
         clean_frame = self.trace.frames[t]
-        raw = gabor.perturbation_vector(field, clean_frame)
-        raw[~self.access_mask] = 0.0
-        n = project_perturbation(raw, self.config.epsilon)
+        n = project_perturbation(gabor.perturbation_vector(field, clean_frame),
+                                 self.config.epsilon)
         n[~self.access_mask] = 0.0
         self._compromised[t] = clean_frame + n
 

@@ -8,10 +8,7 @@ behind this interface (black-box boundary).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +27,6 @@ __all__ = [
     "evaluate_detector",
     "save_detector",
     "load_detector",
-    "write_report",
 ]
 
 NORM_CENTER = 1.0  # pu
@@ -195,20 +191,3 @@ def load_detector(path) -> DetectorModel:
     net, meta = neural.load_checkpoint(path)
     return DetectorModel(net=net, window=meta["window"], bus_count=meta["bus_count"],
                          threshold=meta["threshold"])
-
-
-def write_report(report: DetectorReport, json_path, csv_path) -> None:
-    """Report JSON plus a `time,posterior,label` CSV for plotting."""
-    doc = {
-        "frame_accuracy": report.frame_accuracy,
-        "false_positive_rate": report.false_positive_rate,
-        "detection_delay": report.detection_delay,
-        "delays": report.delays,
-    }
-    Path(json_path).write_text(json.dumps(doc, sort_keys=True, indent=2))
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "posterior", "label"])
-        for times, post, labels in report.posterior_series:
-            for t, p, lbl in zip(times, post, labels):
-                w.writerow([f"{t:.12g}", f"{p:.12g}", int(lbl)])

@@ -8,7 +8,6 @@ only ever see measurement frames).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -23,8 +22,6 @@ __all__ = [
     "load_case",
     "default_case",
     "split_dataset",
-    "write_trace_csv",
-    "read_trace_csv",
 ]
 
 
@@ -225,41 +222,3 @@ def split_dataset(traces, window: int, ratio: float, seed: int = 0):
         return out
 
     return windows_of(train_idx), windows_of(test_idx)
-
-
-def write_trace_csv(trace: MeasurementTrace, path: str | Path) -> None:
-    """Write `time,bus,value,label` rows, row-major by time then bus."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "bus", "value", "label"])
-        for t in range(trace.n_frames):
-            for b in range(trace.bus_count):
-                w.writerow([
-                    f"{trace.times[t]:.12g}",
-                    b,
-                    f"{trace.frames[t, b]:.12g}",
-                    int(trace.labels[t]),
-                ])
-
-
-def read_trace_csv(path: str | Path) -> MeasurementTrace:
-    times, frames, labels = [], [], []
-    cur_t = None
-    row_vals = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            t = float(row["time"])
-            if cur_t is None or t != cur_t:
-                if row_vals:
-                    frames.append(row_vals)
-                cur_t = t
-                row_vals = []
-                times.append(t)
-                labels.append(int(row["label"]))
-            row_vals.append(float(row["value"]))
-    if row_vals:
-        frames.append(row_vals)
-    return MeasurementTrace(
-        times=np.array(times), frames=np.array(frames), labels=np.array(labels)
-    )

@@ -26,7 +26,6 @@ from .grid_traces import (
     generate_trace,
     load_case,
     split_dataset,
-    write_trace_csv,
 )
 
 __all__ = [
@@ -100,7 +99,8 @@ def _resolve(shipped: dict, user, path: str = "") -> dict:
     """Lay `user` over `shipped` key by key; keys `shipped` lacks are errors.
 
     A value takes the type of the shipped value it replaces (an int given
-    for a float becomes that float); null-valued shipped keys take any value.
+    for a float becomes that float); null-valued shipped keys take any value
+    here, and `load_config` checks their values.
     """
     if not isinstance(user, dict):
         raise ValueError(f"config section '{path or '<root>'}' must be a mapping, got {user!r}")
@@ -121,8 +121,22 @@ def _resolve(shipped: dict, user, path: str = "") -> dict:
     return resolved
 
 
-def _check_values(raw: dict, n_frames: int) -> None:
+def _check_values(raw: dict, scenario: TraceScenario) -> None:
     """Reject values the pipeline would otherwise run on silently or fail on late."""
+    ac = raw["attack"]
+    mask, buses = ac["access_mask"], scenario.case.bus_count
+    if mask is not None and not (type(mask) is list and len(mask) == buses
+                                 and all(type(b) is bool for b in mask)):
+        raise ValueError(
+            f"config key 'attack.access_mask' must be null or a list of {buses} bools, "
+            f"got {mask!r}")
+    density = ac["impulse_density"]
+    if density is not None and not (type(density) in (int, float) and 0 < density < np.inf):
+        raise ValueError(
+            f"config key 'attack.impulse_density' must be null or a number > 0, got {density!r}")
+    episodes = raw["evaluation"]["episodes"]
+    if episodes < 1:
+        raise ValueError(f"config key 'evaluation.episodes' must be >= 1, got {episodes}")
     tr = raw["training"]
     if tr["restarts"] < 1:
         raise ValueError(f"config key 'training.restarts' must be >= 1, got {tr['restarts']}")
@@ -133,8 +147,8 @@ def _check_values(raw: dict, n_frames: int) -> None:
     for key in ("sigma_start", "sigma_end"):
         if tr[key] < 0:
             raise ValueError(f"config key 'training.{key}' must be >= 0, got {tr[key]}")
-    steps = n_frames - raw["detector"]["window"]
-    horizon = raw["attack"]["reward"]["horizon_frames"]
+    steps = scenario.n_frames - raw["detector"]["window"]
+    horizon = ac["reward"]["horizon_frames"]
     if horizon is not None and (type(horizon) is not int or not 1 <= horizon <= steps):
         raise ValueError(
             f"config key 'attack.reward.horizon_frames' must be null or an int from 1 to "
@@ -161,9 +175,14 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
         raw["master_seed"] = int(seed_override)
     master_seed = raw["master_seed"]
 
-    case = load_case(raw["case_file"]) if raw["case_file"] else default_case()
+    # Checked here, not in _check_values: that needs the case this file names.
+    case_file = raw["case_file"]
+    if case_file is not None and not (type(case_file) is str and case_file):
+        raise ValueError(
+            f"config key 'case_file' must be null or a file name, got {case_file!r}")
+    case = default_case() if case_file is None else load_case(case_file)
     scenario = TraceScenario(case=case, seed=master_seed, **raw["scenario"])
-    _check_values(raw, scenario.n_frames)
+    _check_values(raw, scenario)
 
     dc = dict(raw["detector"])
     train_traces, split_ratio = dc.pop("train_traces"), dc.pop("split_ratio")
@@ -225,6 +244,28 @@ class AttackMetrics:
                 raise ValueError(f"{name} out of [0,1]: {v}")
 
 
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write equal-length 1-D columns as CSV: a header of their names, then
+    one row per element; floats as `%.12g`, everything else as ints."""
+    # `map` formats each row only as it is written, so no string column is built.
+    cells = [map("{:.12g}".format if a.dtype.kind == "f" else int, a.tolist())
+             for a in map(np.asarray, columns.values())]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(zip(*cells, strict=True))
+
+
+def _per_bus(times, matrix, **extra) -> dict:
+    """Columns of the long layout: a `time,bus,value` row per element of the
+    (time, bus) `matrix`, by time then bus, plus per-time `extra` columns."""
+    frames, buses = np.shape(matrix)
+    columns = {"time": np.repeat(times, buses), "bus": np.tile(np.arange(buses), frames),
+               "value": np.ravel(matrix)}
+    columns.update((name, np.repeat(col, buses)) for name, col in extra.items())
+    return columns
+
+
 def _write_manifest(out: Path, cfg: RunConfig, command: str, outputs: list[str]) -> None:
     doc = {
         "config_hash": cfg.hash,
@@ -245,7 +286,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     trace = generate_trace(cfg.scenario)
     trace_path = out / "trace_clean.csv"
-    write_trace_csv(trace, trace_path)
+    _write_csv(trace_path, _per_bus(trace.times, trace.frames, label=trace.labels))
     _write_manifest(out, cfg, "simulate", [trace_path.name])
     return [trace_path]
 
@@ -272,18 +313,23 @@ def cmd_train_detector(cfg: RunConfig, out_dir):
     ckpt = out / "detector.json"
     det.save_detector(model, ckpt)
     report_json = out / "detector_report.json"
+    report_json.write_text(json.dumps({
+        "frame_accuracy": report.frame_accuracy,
+        "false_positive_rate": report.false_positive_rate,
+        "detection_delay": report.detection_delay,
+        "delays": report.delays,
+    }, sort_keys=True, indent=2))
     posterior_csv = out / "clean_posterior.csv"
-    det.write_report(report, report_json, posterior_csv)
+    times, post, labels = (np.concatenate(c) for c in zip(*report.posterior_series))
+    _write_csv(posterior_csv, {"time": times, "posterior": post, "label": labels})
     _write_manifest(out, cfg, "train-detector",
                     [ckpt.name, report_json.name, posterior_csv.name])
     return model, report, loss
 
 
-def _env_factory(cfg: RunConfig, model: det.DetectorModel):
-    def factory(episode: int, episode_seed: int) -> AttackEnv:
-        scenario = cfg.scenario.with_seed(episode_seed)
-        return AttackEnv(scenario, model, cfg.attack_config, seed=episode_seed)
-    return factory
+def _make_env(cfg: RunConfig, model: det.DetectorModel, seed: int) -> AttackEnv:
+    """The env of the episode whose trace (and field seeds) derive from `seed`."""
+    return AttackEnv(cfg.scenario.with_seed(seed), model, cfg.attack_config, seed=seed)
 
 
 def _validation_drop(cfg: RunConfig, model: det.DetectorModel,
@@ -292,8 +338,7 @@ def _validation_drop(cfg: RunConfig, model: det.DetectorModel,
     seeds = derive_seeds(cfg.master_seed, _SEED_VALIDATE, episodes)
     drops = []
     for seed in seeds:
-        env = AttackEnv(cfg.scenario.with_seed(seed), model, cfg.attack_config, seed=seed)
-        run = run_attack_episode(env, trained_policy(agent))
+        run = run_attack_episode(_make_env(cfg, model, seed), trained_policy(agent))
         post = run["label"] == 1
         if post.any():
             drops.append(np.mean(run["clean_posterior"][post]
@@ -332,7 +377,7 @@ def cmd_train_attacker(cfg: RunConfig, out_dir):
         )
         train_config = replace(cfg.train_config, seed=train_seeds[r])
         candidate, cand_curve = ddpg.train(
-            candidate, _env_factory(cfg, model),
+            candidate, lambda episode, seed: _make_env(cfg, model, seed),
             cfg.train_episodes, train_config)
         score = _validation_drop(cfg, model, candidate) if cfg.train_episodes else 0.0
         if best is None or score > best[0]:
@@ -353,12 +398,8 @@ def cmd_train_attacker(cfg: RunConfig, out_dir):
     neural.save_checkpoint(agent.actor, actor_path, extra=meta)
     neural.save_checkpoint(agent.critic, critic_path, extra=meta)
     curve_path = out / "learning_curve.csv"
-    with open(curve_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["episode", "return", "discounted_return", "critic_loss"])
-        for row in curve:
-            w.writerow([row["episode"], f"{row['return']:.12g}",
-                        f"{row['discounted_return']:.12g}", f"{row['critic_loss']:.12g}"])
+    _write_csv(curve_path, {key: [row[key] for row in curve] for key in
+                            ("episode", "return", "discounted_return", "critic_loss")})
     _write_manifest(out, cfg, "train-attacker",
                     [actor_path.name, critic_path.name, curve_path.name])
     return agent, curve
@@ -444,7 +485,7 @@ def evaluate_baseline(cfg: RunConfig, model: det.DetectorModel, baseline: str,
     seeds = derive_seeds(cfg.master_seed, _SEED_EVAL, n_ep)
     runs = []
     for i, seed in enumerate(seeds):
-        env = AttackEnv(cfg.scenario.with_seed(seed), model, cfg.attack_config, seed=seed)
+        env = _make_env(cfg, model, seed)
         if baseline == "none":
             # An episode that is never stepped is the clean replay.
             env.reset()
@@ -459,59 +500,6 @@ def evaluate_baseline(cfg: RunConfig, model: det.DetectorModel, baseline: str,
         runs.append(run_attack_episode(env, policy))
     metrics = compute_attack_metrics(runs, model.threshold)
     return metrics, runs
-
-
-def _write_long_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-
-
-def export_figure_csvs(out: Path, run: dict, clean_trace) -> list[str]:
-    """Plot-ready CSVs mirroring clean/attacked voltages, noise, posteriors."""
-    names = []
-
-    def bus_rows(times, matrix):
-        for t, vec in zip(times, matrix):
-            for b, v in enumerate(vec):
-                yield [f"{t:.12g}", b, f"{v:.12g}"]
-
-    p = out / "fig_clean_voltages.csv"
-    _write_long_csv(p, ["time", "bus", "value"],
-                    bus_rows(clean_trace.times, clean_trace.frames))
-    names.append(p.name)
-    p = out / "fig_clean_posterior.csv"
-    _write_long_csv(p, ["time", "posterior", "label"],
-                    ([f"{t:.12g}", f"{v:.12g}", int(l)] for t, v, l in
-                     zip(run["time"], run["clean_posterior"], run["label"])))
-    names.append(p.name)
-    p = out / "fig_perturbation.csv"
-    _write_long_csv(p, ["time", "bus", "value"],
-                    bus_rows(run["time"], run["perturbations"]))
-    names.append(p.name)
-    p = out / "fig_compromised_voltages.csv"
-    _write_long_csv(p, ["time", "bus", "value"],
-                    bus_rows(run["time"], run["compromised_frames"]))
-    names.append(p.name)
-    p = out / "fig_attacked_posterior.csv"
-    _write_long_csv(p, ["time", "posterior", "label"],
-                    ([f"{t:.12g}", f"{v:.12g}", int(l)] for t, v, l in
-                     zip(run["time"], run["attacked_posterior"], run["label"])))
-    names.append(p.name)
-    return names
-
-
-def export_episode_log(path, run: dict) -> None:
-    _write_long_csv(path, ["frame", "time", "reward", "c", "clean_posterior",
-                           "attacked_posterior", "max_abs_n"],
-                    ([int(f), f"{t:.12g}", f"{r:.12g}", f"{c:.12g}",
-                      f"{cp:.12g}", f"{ap:.12g}", f"{m:.12g}"]
-                     for f, t, r, c, cp, ap, m in zip(
-                         run["frame"], run["time"], run["reward"], run["c"],
-                         run["clean_posterior"], run["attacked_posterior"],
-                         run["max_abs_n"])))
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir, baselines=BASELINES) -> dict:
@@ -549,12 +537,26 @@ def cmd_evaluate(cfg: RunConfig, out_dir, baselines=BASELINES) -> dict:
         outputs.append(path.name)
         results[baseline] = metrics
         if baseline == "trained_agent":
+            run = runs[0]
             clean_trace = generate_trace(
                 cfg.scenario.with_seed(derive_seeds(cfg.master_seed, _SEED_EVAL, 1)[0]))
-            outputs += export_figure_csvs(out, runs[0], clean_trace)
-            log_path = out / "episode_log.csv"
-            export_episode_log(log_path, runs[0])
-            outputs.append(log_path.name)
+
+            def posteriors(key):
+                return {"time": run["time"], "posterior": run[key], "label": run["label"]}
+
+            files = {
+                "fig_clean_voltages.csv": _per_bus(clean_trace.times, clean_trace.frames),
+                "fig_clean_posterior.csv": posteriors("clean_posterior"),
+                "fig_perturbation.csv": _per_bus(run["time"], run["perturbations"]),
+                "fig_compromised_voltages.csv": _per_bus(run["time"], run["compromised_frames"]),
+                "fig_attacked_posterior.csv": posteriors("attacked_posterior"),
+                "episode_log.csv": {key: run[key] for key in (
+                    "frame", "time", "reward", "c", "clean_posterior",
+                    "attacked_posterior", "max_abs_n")},
+            }
+            for name, columns in files.items():
+                _write_csv(out / name, columns)
+            outputs += files
     _write_manifest(out, cfg, "evaluate", outputs)
     return results
 

@@ -222,6 +222,16 @@ class TestStep:
             steps += 1
         assert steps == env.t_f
 
+    def test_horizon_past_the_trace_raises(self, default_scenario, trained_detector):
+        steps = default_scenario.n_frames - trained_detector.window
+        env = make_env(default_scenario, trained_detector,
+                       reward_params=RewardParams(horizon_frames=steps))
+        assert env.t_f == steps
+        with pytest.raises(ValueError,
+                           match=f"horizon_frames {steps + 1} exceeds the {steps} steps"):
+            make_env(default_scenario, trained_detector,
+                     reward_params=RewardParams(horizon_frames=steps + 1))
+
     def test_step_after_done_raises(self, default_scenario, trained_detector):
         env = make_env(default_scenario, trained_detector)
         env.reset()

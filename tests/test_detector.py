@@ -12,7 +12,6 @@ from gridevade.detector import (
     posterior,
     save_detector,
     train_detector,
-    write_report,
 )
 from gridevade.grid_traces import generate_trace, split_dataset
 
@@ -150,12 +149,3 @@ class TestCheckpointAndReport:
         assert back.threshold == trained_detector.threshold
         x = np.zeros(90)
         assert posterior(back, x) == posterior(trained_detector, x)
-
-    def test_report_files(self, trained_detector, default_scenario, tmp_path):
-        tr = generate_trace(default_scenario.with_seed(7))
-        report = evaluate_detector(trained_detector, [tr])
-        write_report(report, tmp_path / "report.json", tmp_path / "posterior.csv")
-        lines = (tmp_path / "posterior.csv").read_text().splitlines()
-        assert lines[0] == "time,posterior,label"
-        # one row per frame with a full window
-        assert len(lines) - 1 == tr.n_frames - trained_detector.window + 1

@@ -7,9 +7,7 @@ from gridevade.grid_traces import (
     default_case,
     generate_trace,
     load_case,
-    read_trace_csv,
     split_dataset,
-    write_trace_csv,
 )
 
 
@@ -163,20 +161,3 @@ class TestSplitDataset:
         # windows ending right before/at the fault carry the final-frame label
         for frames, lbl in train + test:
             assert frames.shape == (10, 9)
-
-
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        tr = generate_trace(scenario(seed=7))
-        p = tmp_path / "trace.csv"
-        write_trace_csv(tr, p)
-        back = read_trace_csv(p)
-        assert np.allclose(back.frames, tr.frames, rtol=1e-9)
-        assert np.array_equal(back.labels, tr.labels)
-
-    def test_deterministic_bytes(self, tmp_path):
-        tr = generate_trace(scenario(seed=7))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(tr, p1)
-        write_trace_csv(tr, p2)
-        assert p1.read_bytes() == p2.read_bytes()

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -7,6 +8,7 @@ import yaml
 
 from gridevade import ddpg, harness
 from gridevade.cli import main
+from gridevade.grid_traces import generate_trace
 from gridevade.harness import (
     AttackMetrics,
     cmd_report,
@@ -145,6 +147,36 @@ class TestConfig:
         assert cfg.train_config.batch_size == cfg.train_config.buffer_capacity == 64
         assert cfg.train_config.sigma_start == cfg.train_config.sigma_end == 0.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("attack: {access_mask: 3}",
+         "config key 'attack.access_mask' must be null or a list of 9 bools, got 3"),
+        ("attack: {access_mask: [true, false, true]}",
+         "config key 'attack.access_mask' must be null or a list of 9 bools, "
+         "got [True, False, True]"),
+        ("attack: {access_mask: [1, 1, 1, 1, 1, 1, 1, 1, 1]}",
+         "config key 'attack.access_mask' must be null or a list of 9 bools, got [1, 1,"),
+        ("attack: {impulse_density: abc}",
+         "config key 'attack.impulse_density' must be null or a number > 0, got 'abc'"),
+        ("attack: {impulse_density: 0}",
+         "config key 'attack.impulse_density' must be null or a number > 0, got 0"),
+        ("attack: {impulse_density: true}",
+         "config key 'attack.impulse_density' must be null or a number > 0, got True"),
+        ("case_file: 5", "config key 'case_file' must be null or a file name, got 5"),
+        ("case_file: ''", "config key 'case_file' must be null or a file name, got ''"),
+        ("evaluation: {episodes: 0}", "config key 'evaluation.episodes' must be >= 1, got 0"),
+    ])
+    def test_bad_value_of_null_default_key_names_its_path(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load_text(tmp_path, text + "\n")
+
+    def test_null_default_key_values_are_accepted(self, tmp_path):
+        mask = [True, False] + [True] * 7
+        cfg = self.load_text(
+            tmp_path, f"attack: {{access_mask: {json.dumps(mask)}, impulse_density: 20}}\n")
+        assert cfg.attack_config.access_mask.tolist() == mask
+        assert cfg.attack_config.impulse_density == 20.0
+        assert cfg.eval_episodes == 10
+
     def test_unknown_key_fails_via_cli(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("training:\n  restrats: 2\n")
@@ -152,6 +184,29 @@ class TestConfig:
         assert rc == 1
         assert "error: unknown config key 'training.restrats'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestCsvWriter:
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        harness._write_csv(path, {"time": np.array([0.1, 1 / 3]), "bus": [0, 7],
+                                  "value": [1.0, -2.5e-13]})
+        assert path.read_bytes() == (b"time,bus,value\r\n"
+                                     b"0.1,0,1\r\n"
+                                     b"0.333333333333,7,-2.5e-13\r\n")
+
+    def test_columns_of_unequal_length_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="shorter"):
+            harness._write_csv(tmp_path / "t.csv", {"a": [1, 2], "b": [1.0]})
+
+    def test_per_bus_rows_run_by_time_then_bus(self):
+        cols = harness._per_bus(np.array([0.0, 0.1]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                label=np.array([0, 1]))
+        assert list(cols) == ["time", "bus", "value", "label"]
+        assert cols["time"].tolist() == [0.0, 0.0, 0.1, 0.1]
+        assert cols["bus"].tolist() == [0, 1, 0, 1]
+        assert cols["value"].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert cols["label"].tolist() == [0, 0, 1, 1]
 
 
 class TestSimulate:
@@ -165,6 +220,20 @@ class TestSimulate:
         assert (len(header) - 1) % 9 == 0
         manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
         assert manifest["config_hash"] == cfg.hash
+
+    def test_trace_csv_reads_back_as_the_trace(self, fast_config, tmp_path):
+        cfg = load_config(fast_config)
+        trace = generate_trace(cfg.scenario)
+        with open(cmd_simulate(cfg, tmp_path)[0], newline="") as fh:
+            _, *rows = csv.reader(fh)
+        shape = trace.frames.shape
+        time, bus, value = (np.array([float(r[k]) for r in rows]).reshape(shape)
+                            for k in range(3))
+        label = np.array([int(r[3]) for r in rows]).reshape(shape)
+        assert np.array_equal(bus, np.broadcast_to(np.arange(shape[1]), shape))
+        assert np.allclose(time, trace.times[:, None], rtol=1e-9, atol=0)
+        assert np.allclose(value, trace.frames, rtol=1e-9, atol=0)
+        assert np.array_equal(label, np.broadcast_to(trace.labels[:, None], shape))
 
     def test_byte_identical_on_rerun(self, fast_config, tmp_path):
         cfg = load_config(fast_config)
@@ -185,6 +254,7 @@ class TestSimulate:
 def run_dir(fast_config, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     cfg = load_config(fast_config)
+    cmd_simulate(cfg, out)
     model, report, loss = harness.cmd_train_detector(cfg, out)
     assert report.frame_accuracy > 0.9
     harness.cmd_train_attacker(cfg, out)
@@ -256,11 +326,21 @@ class TestPipeline:
             assert f in text
         assert (out / "summary.md").exists()
 
-    def test_rerun_evaluate_identical_metrics(self, run_dir, fast_config, tmp_path):
+    def test_rerun_evaluate_identical_metrics(self, run_dir, tmp_path):
+        """The four commands rerun into a fresh directory write the same bytes."""
         out, cfg = run_dir
-        before = (out / "metrics_trained_agent.json").read_bytes()
-        harness.cmd_evaluate(cfg, out)
-        assert (out / "metrics_trained_agent.json").read_bytes() == before
+        cmd_report(out)
+        fresh = tmp_path / "rerun"
+        cmd_simulate(cfg, fresh)
+        harness.cmd_train_detector(cfg, fresh)
+        harness.cmd_train_attacker(cfg, fresh)
+        harness.cmd_evaluate(cfg, fresh)
+        cmd_report(fresh)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir())
+        assert len(names) == 21
+        for name in names:
+            assert (fresh / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestEvaluateBaseline:
