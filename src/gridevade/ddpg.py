@@ -6,7 +6,7 @@ critic estimates exactly the discounted return the environment defines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .attack_env import AgentState, discounted_return
 
 __all__ = [
     "ReplayBuffer",
+    "Policy",
     "DdpgAgent",
     "TrainConfig",
     "make_agent",
@@ -81,39 +82,45 @@ class ReplayBuffer:
 
 
 @dataclass
-class DdpgAgent:
+class Policy:
+    """The actor and the (ACTION_DIM, 2) bounds its tanh outputs are scaled onto."""
+
     actor: neural.Mlp
+    action_bounds: np.ndarray
+
+    def __post_init__(self):
+        self.action_bounds = np.asarray(self.action_bounds, dtype=float)
+        if self.actor.layer_sizes[-1] != self.action_bounds.shape[0]:
+            raise ValueError("actor output dim does not match action_bounds")
+
+
+@dataclass
+class DdpgAgent(Policy):
     critic: neural.Mlp
     target_actor: neural.Mlp
     target_critic: neural.Mlp
     actor_opt: neural.AdamState
     critic_opt: neural.AdamState
-    action_bounds: np.ndarray  # (ACTION_DIM, 2)
     gamma: float = 0.95
     tau: float = 0.005
-    exploration_sigma: float = 0.2
-    noise_rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
-        self.action_bounds = np.asarray(self.action_bounds, dtype=float)
+        super().__post_init__()
         if not (0 < self.gamma <= 1):
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not (0 < self.tau <= 1):
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.actor.layer_sizes[-1] != self.action_bounds.shape[0]:
-            raise ValueError("actor output dim does not match action_bounds")
         if self.critic.layer_sizes[0] != self.actor.layer_sizes[0] + self.action_bounds.shape[0]:
             raise ValueError("critic input dim must be state dim + action dim")
 
 
 def make_agent(state_dim: int, action_bounds, seed: int = 0, hidden=(64, 64),
                gamma: float = 0.95, tau: float = 0.005,
-               actor_lr: float = 1e-4, critic_lr: float = 1e-3,
-               exploration_sigma: float = 0.2) -> DdpgAgent:
+               actor_lr: float = 1e-4, critic_lr: float = 1e-3) -> DdpgAgent:
     bounds = np.asarray(action_bounds, dtype=float)
     action_dim = bounds.shape[0]
     ss = np.random.SeedSequence(seed)
-    actor_seed, critic_seed, noise_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
+    actor_seed, critic_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
     actor = neural.init_mlp([state_dim, *hidden, action_dim],
                             ["relu"] * len(hidden) + ["tanh"], seed=actor_seed)
     critic = neural.init_mlp([state_dim + action_dim, *hidden, 1],
@@ -128,26 +135,26 @@ def make_agent(state_dim: int, action_bounds, seed: int = 0, hidden=(64, 64),
         action_bounds=bounds,
         gamma=gamma,
         tau=tau,
-        exploration_sigma=exploration_sigma,
-        noise_rng=np.random.default_rng(noise_seed),
     )
 
 
-def _scale_actions(agent: DdpgAgent, u: np.ndarray) -> np.ndarray:
+def _scale_actions(policy: Policy, u: np.ndarray) -> np.ndarray:
     """Map actor outputs in [-1, 1] affinely onto the action bounds."""
-    low, high = agent.action_bounds[:, 0], agent.action_bounds[:, 1]
+    low, high = policy.action_bounds[:, 0], policy.action_bounds[:, 1]
     return low + (u + 1.0) * 0.5 * (high - low)
 
 
-def act(agent: DdpgAgent, state, explore: bool) -> np.ndarray:
-    """Deterministic policy action, optionally with clamped Gaussian noise."""
+def act(policy: Policy, state, noise_rng: np.random.Generator | None = None,
+        sigma: float = 0.0) -> np.ndarray:
+    """The policy's action; with `noise_rng`, plus Gaussian noise of `sigma`
+    half-spans of the bounds per dimension. Clamped to the bounds."""
     s = state.flatten() if isinstance(state, AgentState) else state
     s = np.ravel(np.asarray(s, dtype=float))  # a view of an already-flat vector
-    u = neural.forward(agent.actor, s)
-    a = _scale_actions(agent, u)
-    low, high = agent.action_bounds[:, 0], agent.action_bounds[:, 1]
-    if explore:
-        a = a + agent.noise_rng.normal(0.0, agent.exploration_sigma * 0.5 * (high - low))
+    u = neural.forward(policy.actor, s)
+    a = _scale_actions(policy, u)
+    low, high = policy.action_bounds[:, 0], policy.action_bounds[:, 1]
+    if noise_rng is not None:
+        a = a + noise_rng.normal(0.0, sigma * 0.5 * (high - low))
     return np.clip(a, low, high)
 
 
@@ -222,20 +229,20 @@ def train(agent: DdpgAgent, env_factory, episodes: int, config: TrainConfig):
     buffer = ReplayBuffer(config.buffer_capacity, seed=config.seed)
     ss = np.random.SeedSequence(config.seed)
     episode_seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(max(episodes, 1))]
-    agent.noise_rng = np.random.default_rng(episode_seeds[0] ^ 0x9E3779B9)
+    noise_rng = np.random.default_rng(episode_seeds[0] ^ 0x9E3779B9)
 
     curve = []
     best_return = -np.inf
     best_nets = None
     for ep in range(episodes):
         frac = ep / max(episodes - 1, 1)
-        agent.exploration_sigma = config.sigma_start + frac * (config.sigma_end - config.sigma_start)
+        sigma = config.sigma_start + frac * (config.sigma_end - config.sigma_start)
         env = env_factory(ep, episode_seeds[ep])
         state = env.reset().flatten()
         rewards, losses = [], []
         done = False
         while not done:
-            action = act(agent, state, explore=True)
+            action = act(agent, state, noise_rng, sigma)
             outcome = env.step(action)
             next_state = outcome.next_state.flatten()
             buffer.store(state, action, outcome.reward, next_state, outcome.done)

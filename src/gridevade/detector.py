@@ -145,9 +145,7 @@ def posterior_series(model: DetectorModel, trace: MeasurementTrace) -> np.ndarra
 
 
 def evaluate_detector(model: DetectorModel, traces) -> DetectorReport:
-    """Frame accuracy, pre-fault false positives, and detection delay."""
-    if isinstance(traces, MeasurementTrace):
-        traces = [traces]
+    """Frame accuracy, pre-fault false positives, and detection delay over `traces`."""
     correct = total = fp = pre = 0
     series, delays = [], []
     for tr in traces:

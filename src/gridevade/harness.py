@@ -123,6 +123,23 @@ def _resolve(shipped: dict, user, path: str = "") -> dict:
 
 def _check_values(raw: dict, scenario: TraceScenario) -> None:
     """Reject values the pipeline would otherwise run on silently or fail on late."""
+    dc = raw["detector"]
+    if not 1 <= dc["window"] < scenario.n_frames:
+        raise ValueError(
+            f"config key 'detector.window' must be from 1 to {scenario.n_frames - 1}, one less "
+            f"than the frames of a trace; got {dc['window']}")
+    for key in ("epochs", "batch_size"):
+        if dc[key] < 1:
+            raise ValueError(f"config key 'detector.{key}' must be >= 1, got {dc[key]}")
+    if not all(type(h) is int and h >= 1 for h in dc["hidden"]):
+        raise ValueError(
+            f"config key 'detector.hidden' must be a list of ints >= 1, got {dc['hidden']!r}")
+    if not dc["learning_rate"] > 0:
+        raise ValueError(
+            f"config key 'detector.learning_rate' must be > 0, got {dc['learning_rate']}")
+    for key in ("threshold", "split_ratio"):
+        if not 0 < dc[key] < 1:
+            raise ValueError(f"config key 'detector.{key}' must lie in (0, 1), got {dc[key]}")
     ac = raw["attack"]
     mask, buses = ac["access_mask"], scenario.case.bus_count
     if mask is not None and not (type(mask) is list and len(mask) == buses
@@ -147,7 +164,7 @@ def _check_values(raw: dict, scenario: TraceScenario) -> None:
     for key in ("sigma_start", "sigma_end"):
         if tr[key] < 0:
             raise ValueError(f"config key 'training.{key}' must be >= 0, got {tr[key]}")
-    steps = scenario.n_frames - raw["detector"]["window"]
+    steps = scenario.n_frames - dc["window"]
     horizon = ac["reward"]["horizon_frames"]
     if horizon is not None and (type(horizon) is not int or not 1 <= horizon <= steps):
         raise ValueError(
@@ -333,12 +350,12 @@ def _make_env(cfg: RunConfig, model: det.DetectorModel, seed: int) -> AttackEnv:
 
 
 def _validation_drop(cfg: RunConfig, model: det.DetectorModel,
-                     agent: ddpg.DdpgAgent, episodes: int = 3) -> float:
+                     policy: ddpg.Policy, episodes: int = 3) -> float:
     """Mean post-fault posterior drop on held-back validation seeds."""
     seeds = derive_seeds(cfg.master_seed, _SEED_VALIDATE, episodes)
     drops = []
     for seed in seeds:
-        run = run_attack_episode(_make_env(cfg, model, seed), trained_policy(agent))
+        run = run_attack_episode(_make_env(cfg, model, seed), trained_policy(policy))
         post = run["label"] == 1
         if post.any():
             drops.append(np.mean(run["clean_posterior"][post]
@@ -420,11 +437,9 @@ def random_policy(bounds, seed: int):
     return policy
 
 
-def trained_policy(agent: ddpg.DdpgAgent):
-    def policy(state):
-        return ddpg.act(agent, state, explore=False)
-
-    return policy
+def trained_policy(policy: ddpg.Policy):
+    """`policy`'s noise-free action for each state."""
+    return lambda state: ddpg.act(policy, state)
 
 
 def run_attack_episode(env: AttackEnv, policy) -> dict:
@@ -474,7 +489,7 @@ BASELINES = ("none", "random_hyperparams", "trained_agent")
 
 
 def evaluate_baseline(cfg: RunConfig, model: det.DetectorModel, baseline: str,
-                      agent: ddpg.DdpgAgent | None = None,
+                      agent: ddpg.Policy | None = None,
                       episodes: int | None = None):
     """Run E held-out evaluation episodes for one baseline."""
     if baseline not in BASELINES:
@@ -495,40 +510,48 @@ def evaluate_baseline(cfg: RunConfig, model: det.DetectorModel, baseline: str,
             policy = random_policy(cfg.attack_config.action_bounds, seed=seed ^ 0xA5A5)
         else:
             if agent is None:
-                raise ValueError("trained_agent baseline requires a trained agent")
+                raise ValueError("trained_agent baseline requires a trained policy")
             policy = trained_policy(agent)
         runs.append(run_attack_episode(env, policy))
     metrics = compute_attack_metrics(runs, model.threshold)
     return metrics, runs
 
 
+def _load_policy(cfg: RunConfig, out: Path) -> ddpg.Policy:
+    """The trained actor in `out` and its action bounds, checked against `cfg`."""
+    actor_path = out / "actor.json"
+    if not actor_path.exists():
+        raise FileNotFoundError(f"missing actor checkpoint {actor_path}; run train-attacker first")
+    actor, meta = neural.load_checkpoint(actor_path)
+    bounds = np.asarray(cfg.attack_config.action_bounds, dtype=float)
+    if not np.array_equal(np.asarray(meta["action_bounds"], dtype=float), bounds):
+        raise ValueError(
+            f"{actor_path} was trained under action bounds {meta['action_bounds']}, but "
+            f"config key 'attack.action_bounds' is {bounds.tolist()}")
+    state_dim = 2 * cfg.case.bus_count + 1
+    if actor.layer_sizes[0] != state_dim:
+        raise ValueError(
+            f"{actor_path} takes {actor.layer_sizes[0]} inputs, but the "
+            f"{cfg.case.bus_count}-bus case gives states of {state_dim}")
+    return ddpg.Policy(actor, bounds)
+
+
 def cmd_evaluate(cfg: RunConfig, out_dir, baselines=BASELINES) -> dict:
     """Evaluate requested baselines; write metrics JSON and figure CSVs."""
+    names = set(baselines)
+    if not names <= set(BASELINES) or len(names) != len(baselines) or not names:
+        raise ValueError(f"baselines must be a non-empty list of distinct names from "
+                         f"{', '.join(BASELINES)}; got {list(baselines)}")
     out = Path(out_dir)
     ckpt = out / "detector.json"
     if not ckpt.exists():
         raise FileNotFoundError(f"missing detector checkpoint {ckpt}")
     model = det.load_detector(ckpt)
-    agent = None
-    if "trained_agent" in baselines:
-        actor_path = out / "actor.json"
-        critic_path = out / "critic.json"
-        if not actor_path.exists() or not critic_path.exists():
-            raise FileNotFoundError(f"missing agent checkpoints in {out}")
-        actor, meta = neural.load_checkpoint(actor_path)
-        critic, _ = neural.load_checkpoint(critic_path)
-        agent = ddpg.DdpgAgent(
-            actor=actor, critic=critic,
-            target_actor=actor.copy(), target_critic=critic.copy(),
-            actor_opt=neural.AdamState.for_net(actor),
-            critic_opt=neural.AdamState.for_net(critic),
-            action_bounds=np.asarray(meta["action_bounds"]),
-            gamma=meta["gamma"], tau=meta["tau"],
-        )
+    policy = _load_policy(cfg, out) if "trained_agent" in baselines else None
     results = {}
     outputs = []
     for baseline in baselines:
-        metrics, runs = evaluate_baseline(cfg, model, baseline, agent=agent)
+        metrics, runs = evaluate_baseline(cfg, model, baseline, agent=policy)
         doc = asdict(metrics)
         doc["config_hash"] = cfg.hash
         doc["seed"] = cfg.master_seed

@@ -5,21 +5,20 @@ Backprop is hand-rolled for the fixed MLP topology so the finite-difference
 gradient check stays meaningful and the artifact stays dependency-free.
 
 A network keeps all its parameters in one contiguous vector, layer by layer
-(weights[0], biases[0], weights[1], ...). Gradients use the same layout, so
-Adam and target-network updates are a few whole-vector operations.
+(weights[0], biases[0], weights[1], ...). A gradient is a vector in the same
+layout, so Adam and target-network updates are a few whole-vector operations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "Mlp",
-    "Gradients",
     "AdamState",
     "init_mlp",
     "forward",
@@ -27,7 +26,6 @@ __all__ = [
     "backward",
     "input_gradient",
     "adam_step",
-    "parameter_count",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -35,6 +33,10 @@ __all__ = [
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
@@ -73,12 +75,6 @@ def _layout(layer_sizes) -> tuple:
     return tuple(layout)
 
 
-def _layer_views(flat: np.ndarray, layout) -> tuple[list, list]:
-    """(weights, biases) as lists of reshaped views into `flat`."""
-    return ([flat[w].reshape(shape) for w, shape, _ in layout],
-            [flat[b] for _, _, b in layout])
-
-
 class Mlp:
     """Fully-connected network; weights[k] maps layer k to layer k+1.
 
@@ -109,7 +105,8 @@ class Mlp:
         self.activations = list(activations)
         self.layout = _layout(self.layer_sizes)
         self._params = np.empty(self.layout[-1][2].stop)
-        self._weights, self._biases = map(tuple, _layer_views(self._params, self.layout))
+        self._weights = tuple(self._params[w].reshape(shape) for w, shape, _ in self.layout)
+        self._biases = tuple(self._params[b] for _, _, b in self.layout)
         for view, w in zip(self._weights, weights):
             view[...] = w
         for view, b in zip(self._biases, biases):
@@ -131,24 +128,6 @@ class Mlp:
         return Mlp(self.layer_sizes, self.activations, self.weights, self.biases)
 
 
-@dataclass
-class Gradients:
-    """Per-layer gradients plus `flat`, the same values in the layout of Mlp.params.
-
-    `backward` fills `flat` and makes the per-layer arrays views into it;
-    built from plain lists, `flat` is their concatenation.
-    """
-
-    weights: list
-    biases: list
-    flat: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.flat is None:
-            self.flat = np.concatenate(
-                [g.ravel() for pair in zip(self.weights, self.biases) for g in pair])
-
-
 def init_mlp(layer_sizes, activations, seed) -> Mlp:
     """Fan-in-scaled uniform weights, zero biases; deterministic per seed."""
     if len(layer_sizes) < 2:
@@ -160,10 +139,6 @@ def init_mlp(layer_sizes, activations, seed) -> Mlp:
         weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
         biases.append(np.zeros(n_out))
     return Mlp(list(layer_sizes), list(activations), weights, biases)
-
-
-def parameter_count(net: Mlp) -> int:
-    return net.params.size
 
 
 def forward_full(net: Mlp, x):
@@ -192,11 +167,11 @@ def forward(net: Mlp, x):
     return out
 
 
-def _backprop(net: Mlp, output_gradient, cache, grads: Gradients | None):
+def _backprop(net: Mlp, output_gradient, cache, grad: np.ndarray | None):
     """Chain `output_gradient` back through the cached forward pass.
 
-    Writes the parameter gradients into `grads` unless it is None; returns
-    d(loss)/d(input).
+    Writes the parameter gradients into `grad`, laid out like `net.params`,
+    unless it is None; returns d(loss)/d(input).
     """
     g = np.asarray(output_gradient, dtype=float)
     single = g.ndim == 1
@@ -210,9 +185,10 @@ def _backprop(net: Mlp, output_gradient, cache, grads: Gradients | None):
     for k in range(len(net.weights) - 1, -1, -1):
         z, a = cache[k + 1]
         delta = delta * _activation_grad(net.activations[k], z, a)
-        if grads is not None:
-            np.matmul(cache[k][1].T, delta, out=grads.weights[k])
-            delta.sum(axis=0, out=grads.biases[k])
+        if grad is not None:
+            w, shape, b = net.layout[k]
+            np.matmul(cache[k][1].T, delta, out=grad[w].reshape(shape))
+            delta.sum(axis=0, out=grad[b])
         delta = delta @ net.weights[k].T
     return delta[0] if single else delta
 
@@ -220,15 +196,15 @@ def _backprop(net: Mlp, output_gradient, cache, grads: Gradients | None):
 def backward(net: Mlp, x, output_gradient, cache=None):
     """Exact reverse-mode gradients of forward(net, x).
 
-    Returns (Gradients, input_gradient). `output_gradient` is d(loss)/d(output).
-    Pass the cache from forward_full to skip recomputing the forward pass.
+    Returns (grad, input_gradient); `grad` is laid out like `net.params`.
+    `output_gradient` is d(loss)/d(output). Pass the cache from forward_full
+    to skip recomputing the forward pass.
     """
     if cache is None:
         _, cache = forward_full(net, x)
-    flat = np.empty(net.params.size)
-    grads = Gradients(*_layer_views(flat, net.layout), flat)
-    input_grad = _backprop(net, output_gradient, cache, grads)
-    return grads, input_grad
+    grad = np.empty(net.params.size)
+    input_grad = _backprop(net, output_gradient, cache, grad)
+    return grad, input_grad
 
 
 def input_gradient(net: Mlp, output_gradient, cache):
@@ -239,41 +215,30 @@ def input_gradient(net: Mlp, output_gradient, cache):
 
 @dataclass
 class AdamState:
-    """Adam accumulators, flat in the layout of Mlp.params."""
+    """Adam's learning rate, step count and accumulators, laid out like Mlp.params."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
-    def for_net(cls, net: Mlp, lr: float = 1e-3, beta1: float = 0.9,
-                beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step=0,
-            m=np.zeros_like(net.params), v=np.zeros_like(net.params),
-        )
+    def for_net(cls, net: Mlp, lr: float) -> "AdamState":
+        return cls(lr=lr, m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
-def adam_step(opt: AdamState, net: Mlp, grads: Gradients):
+def adam_step(opt: AdamState, net: Mlp, grad: np.ndarray):
     """Standard Adam update with bias correction; updates in place."""
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        if grads.weights[k].shape != w.shape or grads.biases[k].shape != b.shape:
-            raise ValueError(f"gradient shape mismatch at layer {k}")
-    if grads.flat.shape != net.params.shape:
-        raise ValueError(f"gradient shape mismatch: {grads.flat.shape} vs {net.params.shape}")
+    if grad.shape != net.params.shape:
+        raise ValueError(f"gradient shape mismatch: {grad.shape} vs {net.params.shape}")
     opt.step += 1
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**opt.step
     c2 = 1.0 - b2**opt.step
-    g = grads.flat
-    opt.m = b1 * opt.m + (1 - b1) * g
-    opt.v = b2 * opt.v + (1 - b2) * g * g
+    opt.m = b1 * opt.m + (1 - b1) * grad
+    opt.v = b2 * opt.v + (1 - b2) * grad * grad
     params = net.params
-    params -= opt.lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + opt.epsilon)
+    params -= opt.lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + ADAM_EPSILON)
     return net, opt
 
 

@@ -171,7 +171,8 @@ class TestCriterion7:
                 probe.weights[li][i, j] -= 2 * h
                 dn = f(probe)
                 fd = (up - dn) / (2 * h)
-                g = grads.weights[li][i, j]
+                w_slice, shape, _ = net.layout[li]
+                g = grads[w_slice].reshape(shape)[i, j]
                 denom = max(abs(fd), abs(g), 1e-8)
                 worst = max(worst, abs(fd - g) / denom)
         criterion(7, "gradient check", worst < 1e-4)

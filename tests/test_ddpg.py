@@ -5,6 +5,7 @@ from gridevade import neural
 from gridevade.attack_env import AgentState
 from gridevade.ddpg import (
     DdpgAgent,
+    Policy,
     ReplayBuffer,
     TrainConfig,
     act,
@@ -53,6 +54,12 @@ class ToyEnv:
 class _ToyState:
     def flatten(self):
         return np.array([1.0])
+
+
+def weight_grad(net, grad, k):
+    """Layer k's weight gradient, read from `grad` through net.layout."""
+    w, shape, _ = net.layout[k]
+    return grad[w].reshape(shape)
 
 
 def toy_agent(seed):
@@ -174,28 +181,50 @@ class TestAct:
         agent = make_agent(3, BOUNDS, seed=0)
         for w in agent.actor.weights:
             w[...] = 0.0
-        a = act(agent, np.zeros(3), explore=False)
+        a = act(agent, np.zeros(3))
         mid = np.array([(lo + hi) / 2 for lo, hi in BOUNDS])
         assert np.allclose(a, mid)
 
     def test_actions_within_bounds_under_noise(self):
         agent = make_agent(3, BOUNDS, seed=1)
-        agent.exploration_sigma = 5.0  # absurdly loud noise
         bounds = np.array(BOUNDS)
+        noise_rng = np.random.default_rng(1)
         for _ in range(100):
-            a = act(agent, np.random.default_rng(0).normal(size=3), explore=True)
+            # sigma 5: absurdly loud noise
+            a = act(agent, np.random.default_rng(0).normal(size=3), noise_rng, sigma=5.0)
             assert np.all(a >= bounds[:, 0]) and np.all(a <= bounds[:, 1])
+
+    def test_noise_comes_from_the_given_rng(self):
+        agent = make_agent(3, BOUNDS, seed=1)
+        s = np.array([0.1, -0.2, 0.3])
+        a, b = (act(agent, s, np.random.default_rng(4), sigma=0.1) for _ in range(2))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, act(agent, s))
+        half_span = 0.5 * (agent.action_bounds[:, 1] - agent.action_bounds[:, 0])
+        want = act(agent, s) + np.random.default_rng(4).normal(0.0, 0.1 * half_span)
+        assert np.array_equal(a, np.clip(want, agent.action_bounds[:, 0],
+                                         agent.action_bounds[:, 1]))
 
     def test_deterministic_without_exploration(self):
         agent = make_agent(3, BOUNDS, seed=2)
         s = np.array([0.1, -0.2, 0.3])
-        assert np.array_equal(act(agent, s, explore=False),
-                              act(agent, s, explore=False))
+        assert np.array_equal(act(agent, s), act(agent, s))
 
     def test_accepts_agent_state(self):
         agent = make_agent(19, BOUNDS, seed=3)
         s = AgentState(x=np.ones(9), n=np.zeros(9), c=0.5)
-        assert act(agent, s, explore=False).shape == (3,)
+        assert act(agent, s).shape == (3,)
+
+    def test_policy_acts_like_its_agent(self):
+        agent = make_agent(3, BOUNDS, seed=5)
+        policy = Policy(agent.actor, BOUNDS)
+        s = np.array([0.4, 0.0, -0.7])
+        assert np.array_equal(act(policy, s), act(agent, s))
+
+    def test_policy_output_must_match_bounds(self):
+        actor = neural.init_mlp([3, 4, 2], ["relu", "tanh"], seed=0)
+        with pytest.raises(ValueError, match="actor output dim"):
+            Policy(actor, BOUNDS)
 
 
 class TestSoftUpdate:
@@ -259,7 +288,7 @@ class TestTrainStep:
         buf = ReplayBuffer(256, seed=seed)
         for _ in range(n):
             s = rng.normal(size=3)
-            a = act(agent, s, explore=False) + rng.normal(0, 0.1, size=3)
+            a = act(agent, s) + rng.normal(0, 0.1, size=3)
             buf.store(s, np.clip(a, [b[0] for b in BOUNDS], [b[1] for b in BOUNDS]),
                       rng.normal(), rng.normal(size=3), done)
         return buf
@@ -306,7 +335,7 @@ class TestTrainStep:
         y = rng.normal(size=8)
         out, cache = neural.forward_full(agent.critic, sa)
         gout = (2.0 * (out[:, 0] - y) / 8)[:, None]
-        grads, _ = neural.backward(agent.critic, sa, gout, cache=cache)
+        grad, _ = neural.backward(agent.critic, sa, gout, cache=cache)
 
         def loss_at(net):
             q = neural.forward(net, sa)[:, 0]
@@ -320,7 +349,8 @@ class TestTrainStep:
         up = loss_at(probe)
         w[0, 0] = base - h
         dn = loss_at(probe)
-        assert grads.weights[0][0, 0] == pytest.approx((up - dn) / (2 * h), rel=1e-4)
+        assert weight_grad(agent.critic, grad, 0)[0, 0] == pytest.approx(
+            (up - dn) / (2 * h), rel=1e-4)
 
 
 class TestTrainLoop:

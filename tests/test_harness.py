@@ -1,12 +1,13 @@
 import csv
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 import yaml
 
-from gridevade import ddpg, harness
+from gridevade import ddpg, harness, neural
 from gridevade.cli import main
 from gridevade.grid_traces import generate_trace
 from gridevade.harness import (
@@ -168,6 +169,51 @@ class TestConfig:
     def test_bad_value_of_null_default_key_names_its_path(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("detector: {window: 0}", "config key 'detector.window' must be from 1 to 99, one less "
+                                  "than the frames of a trace; got 0"),
+        ("detector: {window: 100}", "config key 'detector.window' must be from 1 to 99, one less "
+                                    "than the frames of a trace; got 100"),
+        ("{scenario: {horizon: 8.0}, detector: {window: 80}, training: {episodes: 0}}",
+         "config key 'detector.window' must be from 1 to 79, one less than the frames of a "
+         "trace; got 80"),
+        ("detector: {epochs: 0}", "config key 'detector.epochs' must be >= 1, got 0"),
+        ("detector: {batch_size: 0}", "config key 'detector.batch_size' must be >= 1, got 0"),
+        ("detector: {hidden: [64, 0]}",
+         "config key 'detector.hidden' must be a list of ints >= 1, got [64, 0]"),
+        ("detector: {hidden: [64, 2.5]}",
+         "config key 'detector.hidden' must be a list of ints >= 1, got [64, 2.5]"),
+        ("detector: {learning_rate: 0}",
+         "config key 'detector.learning_rate' must be > 0, got 0.0"),
+        ("detector: {learning_rate: -0.001}",
+         "config key 'detector.learning_rate' must be > 0, got -0.001"),
+        ("detector: {threshold: 1.5}", "config key 'detector.threshold' must lie in (0, 1), got 1.5"),
+        ("detector: {threshold: 0}", "config key 'detector.threshold' must lie in (0, 1), got 0.0"),
+        ("detector: {split_ratio: 1}",
+         "config key 'detector.split_ratio' must lie in (0, 1), got 1.0"),
+        ("detector: {split_ratio: -0.5}",
+         "config key 'detector.split_ratio' must lie in (0, 1), got -0.5"),
+    ])
+    def test_bad_detector_value_names_its_path(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load_text(tmp_path, text + "\n")
+
+    def test_detector_value_limits_are_accepted(self, tmp_path):
+        cfg = self.load_text(
+            tmp_path, "detector: {window: 1, epochs: 1, batch_size: 1, hidden: [1], "
+                      "learning_rate: 1.0e-9, threshold: 0.001, split_ratio: 0.999}\n")
+        assert cfg.detector_config.window == 1
+        assert cfg.detector_config.hidden == (1,)
+        assert cfg.detector_split_ratio == 0.999
+
+    def test_bad_detector_value_fails_via_cli_before_training(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("detector: {epochs: 0}\n")
+        rc = main(["train-detector", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: config key 'detector.epochs' must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_null_default_key_values_are_accepted(self, tmp_path):
         mask = [True, False] + [True] * 7
@@ -341,6 +387,74 @@ class TestPipeline:
         assert len(names) == 21
         for name in names:
             assert (fresh / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def copy_run(run_dir, dest, names=("detector.json", "actor.json")):
+    """A fresh directory holding only the named files of a trained run."""
+    dest.mkdir()
+    for name in names:
+        shutil.copy(run_dir / name, dest / name)
+    return dest
+
+
+class TestEvaluateInputs:
+    """What `evaluate` reads and what it refuses before it writes anything."""
+
+    def test_outputs_do_not_depend_on_the_critic(self, run_dir, tmp_path):
+        out, cfg = run_dir
+        fresh = copy_run(out, tmp_path / "actor-only")
+        assert not (fresh / "critic.json").exists()
+        harness.cmd_evaluate(cfg, fresh)
+        manifest = json.loads((out / "manifest_evaluate.json").read_text())
+        names = ["manifest_evaluate.json", *manifest["outputs"]]
+        assert len(names) == 10
+        assert sorted(p.name for p in fresh.iterdir()) == sorted(
+            names + ["detector.json", "actor.json"])
+        for name in names:
+            assert (fresh / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("arg, shown", [("none,bogus", "['none', 'bogus']"), ("", "[]"),
+                                            ("none,none", "['none', 'none']")])
+    def test_bad_baselines_are_refused_before_any_run(self, run_dir, tmp_path, capsys,
+                                                      arg, shown):
+        fresh = copy_run(run_dir[0], tmp_path / "run")
+        rc = main(["evaluate", "--out", str(fresh), "--baselines", arg])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "none, random_hyperparams, trained_agent" in err
+        assert f"got {shown}" in err
+        assert sorted(p.name for p in fresh.iterdir()) == ["actor.json", "detector.json"]
+
+    def test_actor_of_other_action_bounds_is_refused(self, run_dir, fast_config, tmp_path):
+        names = ["actor.json", "critic.json", "detector.json"]
+        fresh = copy_run(run_dir[0], tmp_path / "run", names)
+        raw = yaml.safe_load(fast_config.read_text())
+        raw["attack"]["action_bounds"][2] = [0.0, 1.5]
+        path = tmp_path / "bounds.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match=re.escape(
+                "config key 'attack.action_bounds' is [[0.05, 2.0], [0.05, 5.0], [0.0, 1.5]]")):
+            harness.cmd_evaluate(load_config(path), fresh)
+        assert sorted(p.name for p in fresh.iterdir()) == names
+
+    def test_actor_of_other_state_size_is_refused(self, run_dir, tmp_path):
+        out, cfg = run_dir
+        fresh = copy_run(out, tmp_path / "run", names=("detector.json",))
+        _, meta = neural.load_checkpoint(out / "actor.json")
+        actor = neural.init_mlp([5, 8, 3], ["relu", "tanh"], seed=0)
+        neural.save_checkpoint(actor, fresh / "actor.json", extra=meta)
+        with pytest.raises(ValueError, match="takes 5 inputs, but the 9-bus case gives "
+                                             "states of 19"):
+            harness.cmd_evaluate(cfg, fresh)
+        assert sorted(p.name for p in fresh.iterdir()) == ["actor.json", "detector.json"]
+
+    def test_missing_actor_is_refused(self, run_dir, tmp_path):
+        out, cfg = run_dir
+        fresh = copy_run(out, tmp_path / "run", names=("detector.json",))
+        with pytest.raises(FileNotFoundError, match="actor.json"):
+            harness.cmd_evaluate(cfg, fresh)
+        harness.cmd_evaluate(cfg, fresh, baselines=("none",))
+        assert (fresh / "metrics_none.json").exists()
 
 
 class TestEvaluateBaseline:

@@ -6,7 +6,6 @@ import pytest
 from gridevade import neural
 from gridevade.neural import (
     AdamState,
-    Gradients,
     Mlp,
     adam_step,
     backward,
@@ -15,7 +14,6 @@ from gridevade.neural import (
     init_mlp,
     input_gradient,
     load_checkpoint,
-    parameter_count,
     save_checkpoint,
 )
 
@@ -62,9 +60,16 @@ def set_flat_params(net, vec):
         pos += b.size
 
 
-def flat_grads(grads):
-    return np.concatenate([g.ravel() for g in grads.weights] +
-                          [g.ravel() for g in grads.biases])
+def layer_grads(net, grad):
+    """(weight gradients, bias gradients) per layer, read from `grad` through net.layout."""
+    return ([grad[w].reshape(shape) for w, shape, _ in net.layout],
+            [grad[b] for _, _, b in net.layout])
+
+
+def flat_grads(net, grad):
+    """`grad` in the order of flat_params: every weight, then every bias."""
+    weights, biases = layer_grads(net, grad)
+    return np.concatenate([g.ravel() for g in weights] + [g.ravel() for g in biases])
 
 
 def flat_layer_by_layer(weights, biases):
@@ -152,7 +157,7 @@ class TestInit:
 
     def test_parameter_count(self):
         net = init_mlp([19, 64, 64, 3], ["relu", "relu", "tanh"], seed=0)
-        assert parameter_count(net) == 19 * 64 + 64 + 64 * 64 + 64 + 64 * 3 + 3 == 5635
+        assert net.params.size == 19 * 64 + 64 + 64 * 64 + 64 + 64 * 3 + 3 == 5635
 
     def test_too_few_layers(self):
         with pytest.raises(ValueError):
@@ -194,15 +199,17 @@ class TestForward:
 class TestBackward:
     def test_zero_output_gradient(self):
         net = init_mlp([3, 4, 2], ["relu", "identity"], seed=2)
-        grads, _ = backward(net, np.ones(3), np.zeros(2))
-        assert all(np.all(g == 0) for g in grads.weights + grads.biases)
+        grad, _ = backward(net, np.ones(3), np.zeros(2))
+        assert grad.shape == net.params.shape
+        assert np.all(grad == 0)
 
     def test_scalar_chain_rule(self):
         # y = w*x with identity activation: dw = x * g
         net = Mlp([1, 1], ["identity"], [np.array([[2.0]])], [np.zeros(1)])
-        grads, _ = backward(net, np.array([3.0]), np.array([5.0]))
-        assert grads.weights[0][0, 0] == pytest.approx(15.0)
-        assert grads.biases[0][0] == pytest.approx(5.0)
+        grad, _ = backward(net, np.array([3.0]), np.array([5.0]))
+        (gw,), (gb,) = layer_grads(net, grad)
+        assert gw[0, 0] == pytest.approx(15.0)
+        assert gb[0] == pytest.approx(5.0)
 
     def test_finite_difference_all_activations(self):
         rng = np.random.default_rng(7)
@@ -210,8 +217,8 @@ class TestBackward:
             net = random_net(rng)
             x = rng.normal(size=net.layer_sizes[0]) + 0.05  # avoid relu kinks at 0
             g = rng.normal(size=net.layer_sizes[-1])
-            grads, _ = backward(net, x, g)
-            analytic = flat_grads(grads)
+            grad, _ = backward(net, x, g)
+            analytic = flat_grads(net, grad)
 
             theta = flat_params(net)
             h = 1e-5
@@ -247,17 +254,8 @@ class TestBackward:
         X = rng.normal(size=(5, 4))
         G = rng.normal(size=(5, 2))
         batched, _ = backward(net, X, G)
-        summed = None
-        for x, g in zip(X, G):
-            grads, _ = backward(net, x, g)
-            if summed is None:
-                summed = grads
-            else:
-                summed = Gradients(
-                    [a + b for a, b in zip(summed.weights, grads.weights)],
-                    [a + b for a, b in zip(summed.biases, grads.biases)])
-        for a, b in zip(batched.weights, summed.weights):
-            assert np.allclose(a, b, atol=1e-12)
+        summed = sum(backward(net, x, g)[0] for x, g in zip(X, G))
+        assert np.allclose(batched, summed, atol=1e-12)
 
 
     def test_matches_per_layer_backward(self):
@@ -270,10 +268,11 @@ class TestBackward:
             g = rng.normal(size=(len(x), net.layer_sizes[-1]))
             _, cache = forward_full(net, x)
             want_w, want_b, want_in = per_layer_backward(net, g, cache)
-            grads, got_in = backward(net, x, g, cache=cache)
-            assert all(np.array_equal(a, b) for a, b in zip(grads.weights, want_w)), trial
-            assert all(np.array_equal(a, b) for a, b in zip(grads.biases, want_b)), trial
-            assert np.array_equal(grads.flat, flat_layer_by_layer(want_w, want_b))
+            grad, got_in = backward(net, x, g, cache=cache)
+            got_w, got_b = layer_grads(net, grad)
+            assert all(np.array_equal(a, b) for a, b in zip(got_w, want_w)), trial
+            assert all(np.array_equal(a, b) for a, b in zip(got_b, want_b)), trial
+            assert np.array_equal(grad, flat_layer_by_layer(want_w, want_b))
             assert np.array_equal(got_in, want_in)
             assert np.array_equal(input_gradient(net, g, cache), want_in)
 
@@ -305,14 +304,13 @@ class TestAdam:
         v_w = [np.zeros_like(w) for w in ref_w]
         m_b = [np.zeros_like(b) for b in ref_b]
         v_b = [np.zeros_like(b) for b in ref_b]
-        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.epsilon, opt.lr
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
         for step in range(1, 21):
             x = rng.normal(size=(16, 5))
-            grads, _ = backward(net, x, rng.normal(size=(16, 2)))
-            adam_step(opt, net, grads)
+            grad, _ = backward(net, x, rng.normal(size=(16, 2)))
+            adam_step(opt, net, grad)
             c1, c2 = 1.0 - b1**step, 1.0 - b2**step
-            for k in range(len(ref_w)):
-                gw, gb = grads.weights[k], grads.biases[k]
+            for k, (gw, gb) in enumerate(zip(*layer_grads(net, grad))):
                 m_w[k] = b1 * m_w[k] + (1 - b1) * gw
                 v_w[k] = b2 * v_w[k] + (1 - b2) * gw * gw
                 m_b[k] = b1 * m_b[k] + (1 - b1) * gb
@@ -322,31 +320,18 @@ class TestAdam:
             assert all(np.array_equal(a, b) for a, b in zip(net.weights, ref_w)), step
             assert all(np.array_equal(a, b) for a, b in zip(net.biases, ref_b)), step
 
-    def test_list_gradients_match_backward_gradients(self):
-        net = init_mlp([3, 4, 1], ["tanh", "identity"], seed=6)
-        twin = net.copy()
-        opts = [AdamState.for_net(n) for n in (net, twin)]
-        grads, _ = backward(net, np.ones(3), np.ones(1))
-        listed = Gradients([w.copy() for w in grads.weights],
-                           [b.copy() for b in grads.biases])
-        adam_step(opts[0], net, grads)
-        adam_step(opts[1], twin, listed)
-        assert np.array_equal(net.params, twin.params)
-
     def test_zero_gradient_no_change(self):
         net = init_mlp([3, 2], ["identity"], seed=0)
-        opt = AdamState.for_net(net)
+        opt = AdamState.for_net(net, lr=1e-3)
         before = [w.copy() for w in net.weights]
-        zeros = Gradients([np.zeros_like(w) for w in net.weights],
-                          [np.zeros_like(b) for b in net.biases])
-        adam_step(opt, net, zeros)
+        adam_step(opt, net, np.zeros_like(net.params))
         assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
 
     def test_constant_gradient_step_approaches_lr(self):
         # with a fixed gradient, bias-corrected Adam steps approach lr in magnitude
         net = Mlp([1, 1], ["identity"], [np.array([[0.0]])], [np.zeros(1)])
         opt = AdamState.for_net(net, lr=0.01)
-        g = Gradients([np.array([[3.7]])], [np.array([0.0])])
+        g = np.array([3.7, 0.0])  # weight, bias
         prev = 0.0
         for _ in range(200):
             prev = net.weights[0][0, 0]
@@ -362,8 +347,8 @@ class TestAdam:
         for _ in range(50):
             g = rng.normal(size=3)
             for net, opt in zip(nets, opts):
-                grads, _ = backward(net, np.ones(3), np.ones(1) * g[0])
-                adam_step(opt, net, grads)
+                grad, _ = backward(net, np.ones(3), np.ones(1) * g[0])
+                adam_step(opt, net, grad)
         assert all(np.array_equal(a, b)
                    for a, b in zip(nets[0].weights, nets[1].weights))
 
@@ -373,17 +358,18 @@ class TestAdam:
         rng = np.random.default_rng(12)
         x = rng.normal(size=4)
         for _ in range(10_000):
-            grads, _ = backward(net, x, np.array([1.0]))
-            adam_step(opt, net, grads)
+            grad, _ = backward(net, x, np.array([1.0]))
+            adam_step(opt, net, grad)
         assert all(np.all(np.isfinite(w)) for w in net.weights)
         assert all(np.all(np.isfinite(b)) for b in net.biases)
 
     def test_shape_mismatch_rejected(self):
         net = init_mlp([3, 2], ["identity"], seed=0)
-        opt = AdamState.for_net(net)
-        bad = Gradients([np.zeros((2, 3))], [np.zeros(2)])
-        with pytest.raises(ValueError, match="mismatch"):
-            adam_step(opt, net, bad)
+        opt = AdamState.for_net(net, lr=1e-3)
+        for bad in (np.zeros(9), np.zeros((3, 2))):
+            with pytest.raises(ValueError, match="mismatch"):
+                adam_step(opt, net, bad)
+        assert opt.step == 0
 
 
 class TestCheckpoint:
