@@ -10,6 +10,7 @@ The detector is only touched through `posterior` and `posterior_series`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,19 @@ EXP_CLAMP = 50.0
 # Impulse layout is drawn once per field seed over the domain padded by the
 # widest kernel support, so sweeping sigma never resamples positions.
 LAYOUT_PAD = 3.0 / gabor.SIGMA_FLOOR
+
+
+@functools.lru_cache(maxsize=1)
+def _layout(density: float, seed: int) -> gabor.GaborField:
+    """The impulse layout of `seed`, under a placeholder kernel.
+
+    With a fixed pad, `build_field` never reads the kernel, so one draw
+    serves every action; the last layout is kept for the next step, env or
+    episode that asks for the same seed.
+    """
+    return gabor.build_field(gabor.GaborKernelParams(), density, NOISE_DOMAIN,
+                             seed=seed, pad=LAYOUT_PAD)
+
 
 DEFAULT_ACTION_BOUNDS = ((0.05, 2.0), (0.05, 5.0), (0.0, OMEGA_MAX))
 
@@ -238,8 +252,11 @@ class AttackEnv:
         sigma, f0, omega0 = (float(a) for a in action)
         kernel = gabor.GaborKernelParams(K=self.config.kernel_magnitude,
                                          sigma=sigma, F0=f0, omega0=omega0)
-        return gabor.build_field(kernel, self.config.impulse_density, NOISE_DOMAIN,
-                                 seed=self._field_seed(), pad=LAYOUT_PAD)
+        density, seed = self.config.impulse_density, self._field_seed()
+        if self.config.field_seed_policy == "per-step":
+            # Every step has a new seed: a kept layout would never be reused.
+            return gabor.build_field(kernel, density, NOISE_DOMAIN, seed=seed, pad=LAYOUT_PAD)
+        return _layout(density, seed).with_kernel(kernel)
 
     def _attacked_posterior(self, t: int) -> float:
         feats = det.featurize_window(self._compromised[t - self.window + 1 : t + 1])

@@ -178,29 +178,28 @@ def train_step(agent: DdpgAgent, buffer: ReplayBuffer, batch_size: int):
     # Critic target: r + gamma * (1 - done) * Q'(s', mu'(s')).
     u2 = neural.forward(agent.target_actor, s2)
     a2 = _scale_actions(agent, u2)
-    q2 = neural.forward(agent.target_critic, np.hstack([s2, a2]))[:, 0]
+    q2 = neural.forward(agent.target_critic, np.concatenate((s2, a2), axis=1))[:, 0]
     y = r + agent.gamma * (1.0 - done) * q2
 
-    sa = np.hstack([s, a])
+    sa = np.concatenate((s, a), axis=1)
     q, cache = neural.forward_full(agent.critic, sa)
-    q = q[:, 0]
-    critic_loss = float(np.mean((q - y) ** 2))
-    gout = (2.0 * (q - y) / batch_size)[:, None]
-    grads, _ = neural.backward(agent.critic, sa, gout, cache=cache)
+    err = q[:, 0] - y
+    critic_loss = float(np.mean(err ** 2))
+    gout = (2.0 * err / batch_size)[:, None]
+    grads = neural.backward(agent.critic, sa, gout, cache=cache)
     neural.adam_step(agent.critic_opt, agent.critic, grads)
 
     # Actor ascends Q(s, mu(s)): chain dQ/da through the bound mapping.
     u, actor_cache = neural.forward_full(agent.actor, s)
     a_pi = _scale_actions(agent, u)
-    sa_pi = np.hstack([s, a_pi])
-    q_pi, critic_cache = neural.forward_full(agent.critic, sa_pi)
+    q_pi, critic_cache = neural.forward_full(agent.critic, np.concatenate((s, a_pi), axis=1))
     actor_objective = float(np.mean(q_pi[:, 0]))
     input_grad = neural.input_gradient(agent.critic,
-                                       -np.ones((batch_size, 1)) / batch_size,
+                                       np.full((batch_size, 1), -1.0 / batch_size),
                                        critic_cache)
     dq_da = input_grad[:, state_dim:]
     span = 0.5 * (agent.action_bounds[:, 1] - agent.action_bounds[:, 0])
-    actor_grads, _ = neural.backward(agent.actor, s, dq_da * span, cache=actor_cache)
+    actor_grads = neural.backward(agent.actor, s, dq_da * span, cache=actor_cache)
     neural.adam_step(agent.actor_opt, agent.actor, actor_grads)
 
     soft_update(agent.target_actor, agent.actor, agent.tau)

@@ -123,7 +123,7 @@ def train_detector(train_set, config: DetectorConfig, bus_count: int):
             losses.append(float(np.mean(-yb * np.log(p) - (1 - yb) * np.log(1 - p))))
             # dL/dp; the sigmoid derivative inside backward restores (p - y)/B.
             gout = ((p - yb) / (p * (1 - p)))[:, None] / len(idx)
-            grads, _ = neural.backward(net, xb, gout, cache=cache)
+            grads = neural.backward(net, xb, gout, cache=cache)
             neural.adam_step(opt, net, grads)
         loss = float(np.mean(losses))
     model = DetectorModel(net=net, window=config.window, bus_count=bus_count,

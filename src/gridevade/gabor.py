@@ -77,7 +77,8 @@ class GaborField:
     `x`, `y` and `weight` are contiguous read-only columns. `impulses` is the
     same data as a read-only record array, built on each access and not
     kept, so a field holds its impulses once; its elements expose the
-    column names as attributes.
+    column names as attributes. `with_kernel` puts another kernel on the
+    same columns without copying or re-checking them.
     """
 
     def __init__(self, kernel: GaborKernelParams, x, y, weight):
@@ -90,6 +91,13 @@ class GaborField:
             column.flags.writeable = False
         self.kernel = kernel
         self.x, self.y, self.weight = x, y, weight
+
+    def with_kernel(self, kernel: GaborKernelParams) -> "GaborField":
+        """The same impulses under `kernel`; shares the read-only columns."""
+        field = object.__new__(GaborField)
+        field.kernel = kernel
+        field.x, field.y, field.weight = self.x, self.y, self.weight
+        return field
 
     @property
     def impulses(self) -> np.recarray:

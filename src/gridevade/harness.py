@@ -140,6 +140,15 @@ def _check_values(raw: dict, scenario: TraceScenario) -> None:
     for key in ("threshold", "split_ratio"):
         if not 0 < dc[key] < 1:
             raise ValueError(f"config key 'detector.{key}' must lie in (0, 1), got {dc[key]}")
+    ag = raw["agent"]
+    if not 0 < ag["tau"] <= 1:
+        raise ValueError(f"config key 'agent.tau' must lie in (0, 1], got {ag['tau']}")
+    if not all(type(h) is int and h >= 1 for h in ag["hidden"]):
+        raise ValueError(
+            f"config key 'agent.hidden' must be a list of ints >= 1, got {ag['hidden']!r}")
+    for key in ("actor_lr", "critic_lr"):
+        if not ag[key] > 0:
+            raise ValueError(f"config key 'agent.{key}' must be > 0, got {ag[key]}")
     ac = raw["attack"]
     mask, buses = ac["access_mask"], scenario.case.bus_count
     if mask is not None and not (type(mask) is list and len(mask) == buses

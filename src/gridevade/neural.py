@@ -52,15 +52,14 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d(activation)/dz from the pre-activation z and the output a."""
+    """d(activation)/dz from the pre-activation z and the output a; not
+    called for `identity`, whose derivative is 1."""
     if name == "relu":
         return z > 0  # a boolean mask multiplies as 0.0/1.0
     if name == "tanh":
         return 1.0 - a * a
     if name == "sigmoid":
         return a * (1.0 - a)
-    if name == "identity":
-        return np.ones_like(z)
     raise ValueError(f"unknown activation '{name}'")
 
 
@@ -170,8 +169,9 @@ def forward(net: Mlp, x):
 def _backprop(net: Mlp, output_gradient, cache, grad: np.ndarray | None):
     """Chain `output_gradient` back through the cached forward pass.
 
-    Writes the parameter gradients into `grad`, laid out like `net.params`,
-    unless it is None; returns d(loss)/d(input).
+    With `grad`, writes the parameter gradients into it, laid out like
+    `net.params`, and stops there: the last product, d(loss)/d(input), is
+    left out. Without, returns d(loss)/d(input).
     """
     g = np.asarray(output_gradient, dtype=float)
     single = g.ndim == 1
@@ -184,32 +184,41 @@ def _backprop(net: Mlp, output_gradient, cache, grad: np.ndarray | None):
     delta = g
     for k in range(len(net.weights) - 1, -1, -1):
         z, a = cache[k + 1]
-        delta = delta * _activation_grad(net.activations[k], z, a)
+        act = net.activations[k]
+        if act != "identity":
+            d = _activation_grad(act, z, a)
+            # Only a product of this pass is scaled in place, never the caller's array.
+            if delta is g:
+                delta = delta * d
+            else:
+                delta *= d
         if grad is not None:
             w, shape, b = net.layout[k]
             np.matmul(cache[k][1].T, delta, out=grad[w].reshape(shape))
             delta.sum(axis=0, out=grad[b])
+            if k == 0:
+                return None
         delta = delta @ net.weights[k].T
     return delta[0] if single else delta
 
 
-def backward(net: Mlp, x, output_gradient, cache=None):
-    """Exact reverse-mode gradients of forward(net, x).
+def backward(net: Mlp, x, output_gradient, cache=None) -> np.ndarray:
+    """Exact reverse-mode gradient of forward(net, x) in the parameters.
 
-    Returns (grad, input_gradient); `grad` is laid out like `net.params`.
-    `output_gradient` is d(loss)/d(output). Pass the cache from forward_full
-    to skip recomputing the forward pass.
+    Returns one vector laid out like `net.params`; `input_gradient` gives
+    d(loss)/d(input). `output_gradient` is d(loss)/d(output). Pass the cache
+    from forward_full to skip recomputing the forward pass.
     """
     if cache is None:
         _, cache = forward_full(net, x)
     grad = np.empty(net.params.size)
-    input_grad = _backprop(net, output_gradient, cache, grad)
-    return grad, input_grad
+    _backprop(net, output_gradient, cache, grad)
+    return grad
 
 
 def input_gradient(net: Mlp, output_gradient, cache):
-    """d(loss)/d(input) of the pass in `cache` (from forward_full), equal to
-    backward's second result; computes no parameter gradients."""
+    """d(loss)/d(input) of the pass in `cache` (from forward_full); computes
+    no parameter gradients."""
     return _backprop(net, output_gradient, cache, None)
 
 

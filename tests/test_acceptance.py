@@ -156,7 +156,7 @@ class TestCriterion7:
             v = rng.normal(size=sizes[-1])  # random scalarization
 
             out, cache = neural.forward_full(net, x[None, :])
-            grads, _ = neural.backward(net, x[None, :], v[None, :], cache=cache)
+            grads = neural.backward(net, x[None, :], v[None, :], cache=cache)
 
             def f(n):
                 return float(neural.forward(n, x) @ v)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gridevade import attack_env, gabor
 from gridevade import detector as det
 from gridevade.attack_env import (
     ACTION_DIM,
+    LAYOUT_PAD,
+    NOISE_DOMAIN,
     AgentState,
     AttackConfig,
     AttackEnv,
@@ -306,6 +309,72 @@ class TestStep:
         env.reset()
         n2 = env.step(self.ACTION).info["perturbation"]
         assert np.array_equal(n1, n2)
+
+
+class TestFieldLayout:
+    """Each step's field is the layout of its policy's seed under the step's kernel."""
+
+    EPISODES, STEPS = 2, 3
+
+    @staticmethod
+    def policy_seed(env, episode, row):
+        policy = env.config.field_seed_policy
+        if policy == "fixed":
+            return env.config.field_seed
+        key = [env.seed, episode] + ([row + 1] if policy == "per-step" else [])
+        return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+    def run(self, scenario, model, policy, env_seeds):
+        """Step the envs in turn, each with its own random actions; yield
+        (env, episode, row, outcome) per step."""
+        envs = [make_env(scenario, model, seed=s, epsilon=1e3, field_seed_policy=policy,
+                         field_seed=7, reward_params=RewardParams(horizon_frames=self.STEPS))
+                for s in env_seeds]
+        rng = np.random.default_rng(11)
+        for episode in range(self.EPISODES):
+            for env in envs:
+                env.reset()
+            for row in range(self.STEPS):
+                for env in envs:
+                    action = rng.uniform([0.05, 0.05, 0.0], [2.0, 5.0, 3.0])
+                    yield env, episode, row, env.step(action)
+
+    @pytest.mark.parametrize("policy", ["fixed", "per-episode", "per-step"])
+    def test_steps_match_a_freshly_drawn_layout(self, default_scenario, trained_detector,
+                                                policy):
+        # Two envs stepped in turn: under per-episode and per-step their
+        # seeds differ, so each step asks for another layout than the last.
+        for env, episode, row, out in self.run(default_scenario, trained_detector, policy,
+                                               (4, 5)):
+            sigma, f0, omega0 = out.info["action"]
+            kernel = gabor.GaborKernelParams(K=env.config.kernel_magnitude,
+                                             sigma=sigma, F0=f0, omega0=omega0)
+            field = gabor.build_field(kernel, env.config.impulse_density, NOISE_DOMAIN,
+                                      seed=self.policy_seed(env, episode, row), pad=LAYOUT_PAD)
+            want = gabor.perturbation_vector(field, env.trace.frames[out.info["frame"]])
+            assert np.array_equal(out.info["perturbation"], want), (policy, episode, row)
+
+    @pytest.mark.parametrize("policy, draws", [
+        ("fixed", 1),                   # one layout for both envs and every episode
+        ("per-episode", EPISODES),      # one env: one layout per episode
+        ("per-step", EPISODES * STEPS),
+    ])
+    def test_layout_draws(self, default_scenario, trained_detector, monkeypatch,
+                          policy, draws):
+        calls = []
+        build_field = gabor.build_field
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return build_field(*args, **kwargs)
+
+        monkeypatch.setattr(gabor, "build_field", counted)
+        attack_env._layout.cache_clear()
+        env_seeds = (4, 5) if policy == "fixed" else (4,)
+        steps = list(self.run(default_scenario, trained_detector, policy, env_seeds))
+        assert len(calls) == draws
+        assert len(set(calls)) == draws
+        assert len(steps) == len(env_seeds) * self.EPISODES * self.STEPS
 
 
 class TestRecord:

@@ -282,6 +282,45 @@ class TestSoftUpdate:
             soft_update(target, online, 0.5)
 
 
+def reference_train_step(agent, buffer, batch_size):
+    """train_step with its first expressions: critic inputs joined by
+    np.hstack, actions scaled out of place, input gradients from a full
+    backward pass. Bit for bit what train_step must compute."""
+    low, high = agent.action_bounds[:, 0], agent.action_bounds[:, 1]
+
+    def scale(u):
+        return low + (u + 1.0) * 0.5 * (high - low)
+
+    s, a, r, s2, done = buffer.sample(batch_size)
+    state_dim = s.shape[1]
+    u2 = neural.forward(agent.target_actor, s2)
+    q2 = neural.forward(agent.target_critic, np.hstack([s2, scale(u2)]))[:, 0]
+    y = r + agent.gamma * (1.0 - done) * q2
+
+    sa = np.hstack([s, a])
+    q, cache = neural.forward_full(agent.critic, sa)
+    q = q[:, 0]
+    critic_loss = float(np.mean((q - y) ** 2))
+    gout = (2.0 * (q - y) / batch_size)[:, None]
+    neural.adam_step(agent.critic_opt, agent.critic,
+                     neural.backward(agent.critic, sa, gout, cache=cache))
+
+    u, actor_cache = neural.forward_full(agent.actor, s)
+    sa_pi = np.hstack([s, scale(u)])
+    q_pi, critic_cache = neural.forward_full(agent.critic, sa_pi)
+    actor_objective = float(np.mean(q_pi[:, 0]))
+    input_grad = neural.input_gradient(agent.critic, -np.ones((batch_size, 1)) / batch_size,
+                                       critic_cache)
+    dq_da = input_grad[:, state_dim:]
+    span = 0.5 * (agent.action_bounds[:, 1] - agent.action_bounds[:, 0])
+    neural.adam_step(agent.actor_opt, agent.actor,
+                     neural.backward(agent.actor, s, dq_da * span, cache=actor_cache))
+
+    soft_update(agent.target_actor, agent.actor, agent.tau)
+    soft_update(agent.target_critic, agent.critic, agent.tau)
+    return critic_loss, actor_objective
+
+
 class TestTrainStep:
     def fill_buffer(self, agent, n=128, done=0.0, seed=0):
         rng = np.random.default_rng(seed)
@@ -292,6 +331,31 @@ class TestTrainStep:
             buf.store(s, np.clip(a, [b[0] for b in BOUNDS], [b[1] for b in BOUNDS]),
                       rng.normal(), rng.normal(size=3), done)
         return buf
+
+    def test_bit_identical_to_reference_update(self):
+        rng = np.random.default_rng(5)
+        agents, buffers = [], []
+        for _ in range(2):
+            agents.append(make_agent(19, BOUNDS, seed=5))
+            buffers.append(ReplayBuffer(512, seed=5))
+        for _ in range(300):
+            row = (rng.normal(size=19), rng.uniform(*np.transpose(BOUNDS)), rng.normal(),
+                   rng.normal(size=19), float(rng.random() < 0.1))
+            for buf in buffers:
+                buf.store(*row)
+        got_agent, want_agent = agents
+        for step in range(20):
+            got = train_step(got_agent, buffers[0], 64)
+            want = reference_train_step(want_agent, buffers[1], 64)
+            assert np.array_equal(got, want), step
+            for name in ("actor", "critic", "target_actor", "target_critic"):
+                assert np.array_equal(getattr(got_agent, name).params,
+                                      getattr(want_agent, name).params), (step, name)
+            for name in ("actor_opt", "critic_opt"):
+                got_opt, want_opt = getattr(got_agent, name), getattr(want_agent, name)
+                assert got_opt.step == want_opt.step
+                assert np.array_equal(got_opt.m, want_opt.m), (step, name)
+                assert np.array_equal(got_opt.v, want_opt.v), (step, name)
 
     def test_insufficient_data(self):
         agent = make_agent(3, BOUNDS, seed=0)
@@ -335,7 +399,7 @@ class TestTrainStep:
         y = rng.normal(size=8)
         out, cache = neural.forward_full(agent.critic, sa)
         gout = (2.0 * (out[:, 0] - y) / 8)[:, None]
-        grad, _ = neural.backward(agent.critic, sa, gout, cache=cache)
+        grad = neural.backward(agent.critic, sa, gout, cache=cache)
 
         def loss_at(net):
             q = neural.forward(net, sa)[:, 0]

@@ -123,6 +123,30 @@ class TestGaborField:
         assert np.array_equal(field.impulses.weight, field.weight)
 
 
+    def test_with_kernel_shares_the_read_only_columns(self):
+        field = build_field(self.KERNEL, 20.0, DOMAIN, seed=3, pad=3.0)
+        kernel = GaborKernelParams(K=2.0, sigma=0.5, F0=3.0, omega0=1.0)
+        swapped = field.with_kernel(kernel)
+        assert swapped.kernel is kernel
+        assert field.kernel is self.KERNEL
+        assert swapped.x is field.x and swapped.y is field.y and swapped.weight is field.weight
+        for column in (swapped.x, swapped.y, swapped.weight):
+            assert not column.flags.writeable
+        impulses = swapped.impulses
+        assert not impulses.flags.writeable
+        assert len(swapped) == len(impulses) == len(field)
+        for name in ("x", "y", "weight"):
+            assert np.array_equal(impulses[name], getattr(field, name))
+
+    def test_with_kernel_evaluates_like_a_field_built_with_it(self):
+        kernel = GaborKernelParams(K=2.0, sigma=0.5, F0=3.0, omega0=1.0)
+        swapped = build_field(self.KERNEL, 20.0, DOMAIN, seed=3, pad=3.0).with_kernel(kernel)
+        frame = np.linspace(0.9, 1.1, 9)
+        assert np.array_equal(perturbation_vector(swapped, frame),
+                              perturbation_vector(build_field(kernel, 20.0, DOMAIN, seed=3,
+                                                              pad=3.0), frame))
+
+
 class TestEvaluateField:
     def test_empty_field_is_zero(self):
         assert evaluate_field(EMPTY, 0.3, 0.3) == 0.0

@@ -199,6 +199,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("agent: {tau: 0}", "config key 'agent.tau' must lie in (0, 1], got 0.0"),
+        ("agent: {tau: 1.5}", "config key 'agent.tau' must lie in (0, 1], got 1.5"),
+        ("agent: {hidden: [0]}", "config key 'agent.hidden' must be a list of ints >= 1, got [0]"),
+        ("agent: {hidden: [64, 2.5]}",
+         "config key 'agent.hidden' must be a list of ints >= 1, got [64, 2.5]"),
+        ("agent: {actor_lr: -1}", "config key 'agent.actor_lr' must be > 0, got -1.0"),
+        ("agent: {critic_lr: 0}", "config key 'agent.critic_lr' must be > 0, got 0.0"),
+    ])
+    def test_bad_agent_value_names_its_path(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load_text(tmp_path, text + "\n")
+
+    def test_agent_value_limits_are_accepted(self, tmp_path):
+        cfg = self.load_text(
+            tmp_path, "agent: {tau: 1, hidden: [1], actor_lr: 1.0e-9, critic_lr: 1.0e-9}\n")
+        assert cfg.agent_tau == 1.0
+        assert cfg.agent_hidden == (1,)
+        assert cfg.actor_lr == cfg.critic_lr == 1e-9
+
     def test_detector_value_limits_are_accepted(self, tmp_path):
         cfg = self.load_text(
             tmp_path, "detector: {window: 1, epochs: 1, batch_size: 1, hidden: [1], "

@@ -199,14 +199,14 @@ class TestForward:
 class TestBackward:
     def test_zero_output_gradient(self):
         net = init_mlp([3, 4, 2], ["relu", "identity"], seed=2)
-        grad, _ = backward(net, np.ones(3), np.zeros(2))
+        grad = backward(net, np.ones(3), np.zeros(2))
         assert grad.shape == net.params.shape
         assert np.all(grad == 0)
 
     def test_scalar_chain_rule(self):
         # y = w*x with identity activation: dw = x * g
         net = Mlp([1, 1], ["identity"], [np.array([[2.0]])], [np.zeros(1)])
-        grad, _ = backward(net, np.array([3.0]), np.array([5.0]))
+        grad = backward(net, np.array([3.0]), np.array([5.0]))
         (gw,), (gb,) = layer_grads(net, grad)
         assert gw[0, 0] == pytest.approx(15.0)
         assert gb[0] == pytest.approx(5.0)
@@ -217,7 +217,7 @@ class TestBackward:
             net = random_net(rng)
             x = rng.normal(size=net.layer_sizes[0]) + 0.05  # avoid relu kinks at 0
             g = rng.normal(size=net.layer_sizes[-1])
-            grad, _ = backward(net, x, g)
+            grad = backward(net, x, g)
             analytic = flat_grads(net, grad)
 
             theta = flat_params(net)
@@ -240,7 +240,7 @@ class TestBackward:
         net = random_net(rng, sizes=[5, 8, 3], acts=["tanh", "identity"])
         x = rng.normal(size=5)
         g = rng.normal(size=3)
-        _, input_grad = backward(net, x, g)
+        input_grad = input_gradient(net, g, forward_full(net, x)[1])
         h = 1e-6
         for i in range(5):
             xp, xm = x.copy(), x.copy()
@@ -253,8 +253,8 @@ class TestBackward:
         net = random_net(rng, sizes=[4, 6, 2], acts=["relu", "identity"])
         X = rng.normal(size=(5, 4))
         G = rng.normal(size=(5, 2))
-        batched, _ = backward(net, X, G)
-        summed = sum(backward(net, x, g)[0] for x, g in zip(X, G))
+        batched = backward(net, X, G)
+        summed = sum(backward(net, x, g) for x, g in zip(X, G))
         assert np.allclose(batched, summed, atol=1e-12)
 
 
@@ -268,12 +268,11 @@ class TestBackward:
             g = rng.normal(size=(len(x), net.layer_sizes[-1]))
             _, cache = forward_full(net, x)
             want_w, want_b, want_in = per_layer_backward(net, g, cache)
-            grad, got_in = backward(net, x, g, cache=cache)
+            grad = backward(net, x, g, cache=cache)
             got_w, got_b = layer_grads(net, grad)
             assert all(np.array_equal(a, b) for a, b in zip(got_w, want_w)), trial
             assert all(np.array_equal(a, b) for a, b in zip(got_b, want_b)), trial
             assert np.array_equal(grad, flat_layer_by_layer(want_w, want_b))
-            assert np.array_equal(got_in, want_in)
             assert np.array_equal(input_gradient(net, g, cache), want_in)
 
     def test_input_gradient_single_vector(self):
@@ -283,7 +282,19 @@ class TestBackward:
         _, cache = forward_full(net, x)
         got = input_gradient(net, g, cache)
         assert got.shape == (4,)
-        assert np.array_equal(got, backward(net, x, g)[1])
+        assert np.array_equal(got, per_layer_backward(net, g[None, :], cache)[2][0])
+
+    @pytest.mark.parametrize("acts", [["tanh", "relu"], ["relu", "sigmoid"]])
+    def test_leaves_output_gradient_unchanged(self, acts):
+        net = init_mlp([3, 4, 2], acts, seed=6)
+        x = np.random.default_rng(6).normal(size=(8, 3))
+        g = np.random.default_rng(7).normal(size=(8, 2))
+        before = g.copy()
+        _, cache = forward_full(net, x)
+        assert (cache[-1][0] <= 0).any() and (cache[1][0] <= 0).any()  # the masks zero something
+        backward(net, x, g, cache=cache)
+        input_gradient(net, g, cache)
+        assert np.array_equal(g, before)
 
     def test_input_gradient_leaves_no_parameter_gradients(self):
         net = init_mlp([3, 4, 1], ["relu", "identity"], seed=4)
@@ -307,7 +318,7 @@ class TestAdam:
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
         for step in range(1, 21):
             x = rng.normal(size=(16, 5))
-            grad, _ = backward(net, x, rng.normal(size=(16, 2)))
+            grad = backward(net, x, rng.normal(size=(16, 2)))
             adam_step(opt, net, grad)
             c1, c2 = 1.0 - b1**step, 1.0 - b2**step
             for k, (gw, gb) in enumerate(zip(*layer_grads(net, grad))):
@@ -347,7 +358,7 @@ class TestAdam:
         for _ in range(50):
             g = rng.normal(size=3)
             for net, opt in zip(nets, opts):
-                grad, _ = backward(net, np.ones(3), np.ones(1) * g[0])
+                grad = backward(net, np.ones(3), np.ones(1) * g[0])
                 adam_step(opt, net, grad)
         assert all(np.array_equal(a, b)
                    for a, b in zip(nets[0].weights, nets[1].weights))
@@ -358,7 +369,7 @@ class TestAdam:
         rng = np.random.default_rng(12)
         x = rng.normal(size=4)
         for _ in range(10_000):
-            grad, _ = backward(net, x, np.array([1.0]))
+            grad = backward(net, x, np.array([1.0]))
             adam_step(opt, net, grad)
         assert all(np.all(np.isfinite(w)) for w in net.weights)
         assert all(np.all(np.isfinite(b)) for b in net.biases)
