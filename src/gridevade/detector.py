@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural
-from .grid_traces import MeasurementTrace
+from .grid_traces import MeasurementTrace, windows
 
 __all__ = [
     "DetectorConfig",
     "DetectorModel",
     "DetectorReport",
     "featurize_window",
-    "featurize",
     "train_detector",
     "posterior",
     "posterior_series",
@@ -78,16 +77,12 @@ class DetectorReport:
             raise ValueError("false_positive_rate out of [0,1]")
 
 
-def featurize_window(frames: np.ndarray) -> np.ndarray:
-    """Flatten a (window, bus) block, normalizing each value as (v-1)/0.1."""
-    return ((np.asarray(frames, dtype=float) - NORM_CENTER) / NORM_SCALE).ravel()
-
-
-def featurize(trace: MeasurementTrace, t: int, window: int) -> np.ndarray:
-    """Feature vector for the window ending at frame t."""
-    if t < window - 1 or t >= trace.n_frames:
-        raise IndexError(f"frame {t} has no full window of length {window}")
-    return featurize_window(trace.frames[t - window + 1 : t + 1])
+def featurize_window(frames) -> np.ndarray:
+    """Normalize each value of a (window, bus) block, or of a (n, window, bus)
+    stack of them, as (v-1)/0.1 and flatten each block; `frames` is not written."""
+    out = np.subtract(frames, NORM_CENTER, dtype=float)
+    out /= NORM_SCALE
+    return out.reshape(*out.shape[:-2], -1)
 
 
 def train_detector(train_set, config: DetectorConfig, bus_count: int):
@@ -98,7 +93,7 @@ def train_detector(train_set, config: DetectorConfig, bus_count: int):
     """
     if not train_set:
         raise ValueError("empty training set")
-    X = np.array([featurize_window(w) for w, _ in train_set])
+    X = featurize_window(np.stack([w for w, _ in train_set]))
     y = np.array([lbl for _, lbl in train_set], dtype=float)
     if len(np.unique(y)) < 2:
         raise ValueError("training set contains a single class; need both labels")
@@ -139,8 +134,7 @@ def posterior(model: DetectorModel, features) -> float:
 
 def posterior_series(model: DetectorModel, trace: MeasurementTrace) -> np.ndarray:
     """Posteriors of every full window of `trace`, ending at frames window-1..end."""
-    w = model.window
-    X = np.array([featurize(trace, t, w) for t in range(w - 1, trace.n_frames)])
+    X = featurize_window(windows(trace.frames, model.window))
     return neural.forward(model.net, X)[:, 0]
 
 
@@ -187,5 +181,10 @@ def save_detector(model: DetectorModel, path) -> None:
 
 def load_detector(path) -> DetectorModel:
     net, meta = neural.load_checkpoint(path)
+    norm = (meta.get("norm_center"), meta.get("norm_scale"))
+    if norm != (NORM_CENTER, NORM_SCALE):
+        raise ValueError(
+            f"{path} was trained on features (v - {norm[0]}) / {norm[1]}, but this "
+            f"detector computes (v - {NORM_CENTER}) / {NORM_SCALE}")
     return DetectorModel(net=net, window=meta["window"], bus_count=meta["bus_count"],
                          threshold=meta["threshold"])

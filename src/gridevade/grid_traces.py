@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "BusCase",
@@ -21,6 +22,7 @@ __all__ = [
     "generate_trace",
     "load_case",
     "default_case",
+    "windows",
     "split_dataset",
 ]
 
@@ -195,6 +197,12 @@ def default_case() -> BusCase:
         return load_case(p)
 
 
+def windows(frames: np.ndarray, window: int) -> np.ndarray:
+    """Read-only (n - window + 1, window, bus) view of every full window of
+    `frames`; row i is the window that ends at frame i + window - 1."""
+    return sliding_window_view(frames, window, axis=0).swapaxes(1, 2)
+
+
 def split_dataset(traces, window: int, ratio: float, seed: int = 0):
     """Split traces into train/test sets of labeled sliding windows.
 
@@ -211,14 +219,9 @@ def split_dataset(traces, window: int, ratio: float, seed: int = 0):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(traces))
     n_train = int(round(ratio * len(traces)))
-    train_idx, test_idx = order[:n_train], order[n_train:]
 
     def windows_of(idx):
-        out = []
-        for k in idx:
-            tr = traces[k]
-            for t in range(window - 1, tr.n_frames):
-                out.append((tr.frames[t - window + 1 : t + 1], int(tr.labels[t])))
-        return out
+        return [pair for k in idx for pair in zip(
+            windows(traces[k].frames, window), traces[k].labels[window - 1:].tolist())]
 
-    return windows_of(train_idx), windows_of(test_idx)
+    return windows_of(order[:n_train]), windows_of(order[n_train:])

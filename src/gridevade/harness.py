@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -117,8 +119,26 @@ def _resolve(shipped: dict, user, path: str = "") -> dict:
         elif default is not None and type(value) is not type(default):
             raise ValueError(
                 f"config key '{where}' must be {type(default).__name__}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key '{where}' must be a finite number, got {value!r}")
         resolved[key] = value
     return resolved
+
+
+# Keys refused below a lower bound, as "must be >= <bound>".
+_LOWER_BOUNDS = (
+    ("master_seed", 0),
+    ("detector.epochs", 1),
+    ("detector.batch_size", 1),
+    ("attack.field_seed", 0),
+    ("training.episodes", 0),
+    ("training.restarts", 1),
+    ("training.batch_size", 1),
+    ("training.warmup", 0),
+    ("training.sigma_start", 0),
+    ("training.sigma_end", 0),
+    ("evaluation.episodes", 1),
+)
 
 
 def _check_values(raw: dict, scenario: TraceScenario) -> None:
@@ -128,9 +148,10 @@ def _check_values(raw: dict, scenario: TraceScenario) -> None:
         raise ValueError(
             f"config key 'detector.window' must be from 1 to {scenario.n_frames - 1}, one less "
             f"than the frames of a trace; got {dc['window']}")
-    for key in ("epochs", "batch_size"):
-        if dc[key] < 1:
-            raise ValueError(f"config key 'detector.{key}' must be >= 1, got {dc[key]}")
+    for key, bound in _LOWER_BOUNDS:
+        value = reduce(dict.__getitem__, key.split("."), raw)
+        if value < bound:
+            raise ValueError(f"config key '{key}' must be >= {bound}, got {value}")
     if not all(type(h) is int and h >= 1 for h in dc["hidden"]):
         raise ValueError(
             f"config key 'detector.hidden' must be a list of ints >= 1, got {dc['hidden']!r}")
@@ -160,19 +181,11 @@ def _check_values(raw: dict, scenario: TraceScenario) -> None:
     if density is not None and not (type(density) in (int, float) and 0 < density < np.inf):
         raise ValueError(
             f"config key 'attack.impulse_density' must be null or a number > 0, got {density!r}")
-    episodes = raw["evaluation"]["episodes"]
-    if episodes < 1:
-        raise ValueError(f"config key 'evaluation.episodes' must be >= 1, got {episodes}")
     tr = raw["training"]
-    if tr["restarts"] < 1:
-        raise ValueError(f"config key 'training.restarts' must be >= 1, got {tr['restarts']}")
     if tr["batch_size"] > tr["buffer_capacity"]:
         raise ValueError(
             f"config key 'training.batch_size' ({tr['batch_size']}) must not exceed "
             f"'training.buffer_capacity' ({tr['buffer_capacity']}): no update could run")
-    for key in ("sigma_start", "sigma_end"):
-        if tr[key] < 0:
-            raise ValueError(f"config key 'training.{key}' must be >= 0, got {tr[key]}")
     steps = scenario.n_frames - dc["window"]
     horizon = ac["reward"]["horizon_frames"]
     if horizon is not None and (type(horizon) is not int or not 1 <= horizon <= steps):
@@ -608,15 +621,13 @@ def cmd_report(run_dir) -> str:
         doc = json.loads(manifests[0].read_text())
         lines += [f"- config hash: `{doc['config_hash']}`",
                   f"- master seed: {doc['master_seed']}", ""]
-    fields = ["clean_accuracy", "attacked_accuracy", "evasion_success_rate",
-              "mean_posterior_drop", "max_abs_perturbation",
-              "detection_delay_clean", "detection_delay_attacked"]
-    lines.append("| baseline | " + " | ".join(fields) + " |")
-    lines.append("|" + "---|" * (len(fields) + 1))
+    columns = [f.name for f in fields(AttackMetrics)]
+    lines.append("| baseline | " + " | ".join(columns) + " |")
+    lines.append("|" + "---|" * (len(columns) + 1))
     for mf in metric_files:
         doc = json.loads(mf.read_text())
         name = mf.stem.removeprefix("metrics_")
-        vals = [("n/a" if doc[f] is None else f"{doc[f]:.4g}") for f in fields]
+        vals = [("n/a" if doc[c] is None else f"{doc[c]:.4g}") for c in columns]
         lines.append(f"| {name} | " + " | ".join(vals) + " |")
     text = "\n".join(lines) + "\n"
     (out / "summary.md").write_text(text)

@@ -19,6 +19,7 @@ from gridevade.attack_env import (
     project_perturbation,
     reward,
 )
+from gridevade.grid_traces import windows
 
 
 def make_env(scenario, model, seed=0, **cfg_kw):
@@ -418,8 +419,8 @@ class TestRecord:
         env.reset()
         rec = env.record()
         frames = np.arange(env.window, env.window + env.t_f)
-        clean = [det.posterior(trained_detector, det.featurize(env.trace, t, env.window))
-                 for t in frames]
+        clean = [det.posterior(trained_detector, det.featurize_window(window))
+                 for window in windows(env.trace.frames, env.window)[1 : 1 + env.t_f]]
         assert np.array_equal(rec["frame"], frames)
         assert np.array_equal(rec["label"], env.trace.labels[frames])
         assert np.array_equal(rec["time"], env.trace.times[frames])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,13 @@ from gridevade.detector import (
     DetectorConfig,
     DetectorModel,
     evaluate_detector,
-    featurize,
     featurize_window,
     load_detector,
     posterior,
     save_detector,
     train_detector,
 )
-from gridevade.grid_traces import generate_trace, split_dataset
+from gridevade.grid_traces import generate_trace, windows
 
 
 def zero_weight_model(window=10, bus_count=9):
@@ -32,17 +33,27 @@ class TestFeaturize:
 
     def test_window_one_is_normalized_frame(self, default_scenario):
         tr = generate_trace(default_scenario.with_seed(0))
-        feats = featurize(tr, 5, window=1)
+        feats = featurize_window(windows(tr.frames, 1)[5])
         assert np.allclose(feats, (tr.frames[5] - 1.0) / 0.1)
 
     def test_feature_length(self, default_scenario):
         tr = generate_trace(default_scenario.with_seed(0))
-        assert featurize(tr, 20, window=10).shape == (90,)
+        assert featurize_window(windows(tr.frames, 10)[11]).shape == (90,)
 
-    def test_out_of_range_index(self, default_scenario):
+    def test_stack_equals_row_by_row(self, default_scenario):
         tr = generate_trace(default_scenario.with_seed(0))
-        with pytest.raises(IndexError):
-            featurize(tr, 3, window=10)
+        stack = windows(tr.frames, 10)
+        feats = featurize_window(stack)
+        assert feats.shape == (91, 90)
+        assert np.array_equal(feats, np.array([featurize_window(w) for w in stack]))
+
+    def test_input_is_not_written(self, default_scenario):
+        frames = generate_trace(default_scenario.with_seed(0)).frames
+        kept = frames.copy()
+        feats = featurize_window(frames[20:30])
+        feats += 1.0
+        featurize_window(frames.reshape(10, 10, 9))
+        assert np.array_equal(frames, kept)
 
     def test_identical_frames_permutation_invariant(self):
         block = np.ones((10, 9)) * 1.02
@@ -91,7 +102,7 @@ class TestPosterior:
     def test_range(self, trained_detector, default_scenario):
         tr = generate_trace(default_scenario.with_seed(3))
         for t in (9, 40, 70, 99):
-            p = posterior(trained_detector, featurize(tr, t, 10))
+            p = posterior(trained_detector, featurize_window(windows(tr.frames, 10)[t - 9]))
             assert 0.0 <= p <= 1.0
 
     def test_zero_weight_net_outputs_half(self):
@@ -100,7 +111,7 @@ class TestPosterior:
 
     def test_post_fault_window_detected(self, trained_detector, default_scenario):
         tr = generate_trace(default_scenario.with_seed(4))
-        p = posterior(trained_detector, featurize(tr, 60, 10))
+        p = posterior(trained_detector, featurize_window(windows(tr.frames, 10)[51]))
         assert p > trained_detector.threshold
 
     def test_dimension_error(self, trained_detector):
@@ -149,3 +160,14 @@ class TestCheckpointAndReport:
         assert back.threshold == trained_detector.threshold
         x = np.zeros(90)
         assert posterior(back, x) == posterior(trained_detector, x)
+
+    @pytest.mark.parametrize("key, value", [("norm_center", 0.0), ("norm_scale", 0.2)])
+    def test_checkpoint_of_other_normalization_is_refused(self, trained_detector, tmp_path,
+                                                          key, value):
+        p = tmp_path / "detector.json"
+        save_detector(trained_detector, p)
+        doc = json.loads(p.read_text())
+        doc["meta"][key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="was trained on features"):
+            load_detector(p)

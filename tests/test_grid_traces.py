@@ -8,6 +8,7 @@ from gridevade.grid_traces import (
     generate_trace,
     load_case,
     split_dataset,
+    windows,
 )
 
 
@@ -161,3 +162,23 @@ class TestSplitDataset:
         # windows ending right before/at the fault carry the final-frame label
         for frames, lbl in train + test:
             assert frames.shape == (10, 9)
+        assert [lbl for _, lbl in train + test] == tr.labels[9:].tolist()
+        assert all(np.array_equal(frames, tr.frames[i : i + 10])
+                   for i, (frames, _) in enumerate(train + test))
+
+
+class TestWindows:
+    def test_row_i_is_the_window_ending_at_frame_i_plus_w_minus_1(self):
+        frames = generate_trace(scenario()).frames
+        for w in (1, 4, 10, 100):
+            view = windows(frames, w)
+            assert view.shape == (101 - w, w, 9)
+            for i in range(len(view)):
+                assert np.array_equal(view[i], frames[i : i + w])
+
+    def test_view_is_read_only(self):
+        frames = generate_trace(scenario()).frames
+        view = windows(frames, 10)
+        assert np.shares_memory(view, frames)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 0.0

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from gridevade.harness import (
     derive_seeds,
     load_config,
 )
+
+
+HORIZON_REFUSAL = ("config key 'attack.reward.horizon_frames' must be null or an int from 1 "
+                   "to {steps}, the frames a trace has after its first detector window; "
+                   "got {got}")
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +106,13 @@ class TestConfig:
          "config key 'training.batch_size' (65) must not exceed 'training.buffer_capacity' (64)"),
         ("training: {sigma_start: -1}", "config key 'training.sigma_start' must be >= 0, got -1.0"),
         ("training: {sigma_end: -0.01}", "config key 'training.sigma_end' must be >= 0, got -0.01"),
+        ("training: {sigma_start: .nan}",
+         "config key 'training.sigma_start' must be a finite number, got nan"),
+        ("training: {sigma_end: .inf}",
+         "config key 'training.sigma_end' must be a finite number, got inf"),
+        ("training: {batch_size: 0}", "config key 'training.batch_size' must be >= 1, got 0"),
+        ("training: {episodes: -1}", "config key 'training.episodes' must be >= 0, got -1"),
+        ("training: {warmup: -1}", "config key 'training.warmup' must be >= 0, got -1"),
         # No update can run: train_step waits for max(batch_size, warmup)
         # transitions, and the buffer never holds that many.
         ("training: {episodes: 2}",
@@ -125,9 +138,7 @@ class TestConfig:
         ("attack: {reward: {horizon_frames: ten}}", 90, "'ten'"),
     ])
     def test_horizon_past_the_trace_names_its_path(self, tmp_path, text, steps, got):
-        message = (f"config key 'attack.reward.horizon_frames' must be null or an int from 1 "
-                   f"to {steps}, the frames a trace has after its first detector window; "
-                   f"got {got}")
+        message = HORIZON_REFUSAL.format(steps=steps, got=got)
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
 
@@ -165,6 +176,8 @@ class TestConfig:
         ("case_file: 5", "config key 'case_file' must be null or a file name, got 5"),
         ("case_file: ''", "config key 'case_file' must be null or a file name, got ''"),
         ("evaluation: {episodes: 0}", "config key 'evaluation.episodes' must be >= 1, got 0"),
+        ("attack: {field_seed: -1}", "config key 'attack.field_seed' must be >= 0, got -1"),
+        ("master_seed: -1", "config key 'master_seed' must be >= 0, got -1"),
     ])
     def test_bad_value_of_null_default_key_names_its_path(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -188,6 +201,8 @@ class TestConfig:
          "config key 'detector.learning_rate' must be > 0, got 0.0"),
         ("detector: {learning_rate: -0.001}",
          "config key 'detector.learning_rate' must be > 0, got -0.001"),
+        ("detector: {learning_rate: .inf}",
+         "config key 'detector.learning_rate' must be a finite number, got inf"),
         ("detector: {threshold: 1.5}", "config key 'detector.threshold' must lie in (0, 1), got 1.5"),
         ("detector: {threshold: 0}", "config key 'detector.threshold' must lie in (0, 1), got 0.0"),
         ("detector: {split_ratio: 1}",
@@ -207,6 +222,9 @@ class TestConfig:
          "config key 'agent.hidden' must be a list of ints >= 1, got [64, 2.5]"),
         ("agent: {actor_lr: -1}", "config key 'agent.actor_lr' must be > 0, got -1.0"),
         ("agent: {critic_lr: 0}", "config key 'agent.critic_lr' must be > 0, got 0.0"),
+        ("agent: {actor_lr: .inf}", "config key 'agent.actor_lr' must be a finite number, got inf"),
+        ("agent: {critic_lr: .inf}",
+         "config key 'agent.critic_lr' must be a finite number, got inf"),
     ])
     def test_bad_agent_value_names_its_path(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -242,6 +260,27 @@ class TestConfig:
         assert cfg.attack_config.access_mask.tolist() == mask
         assert cfg.attack_config.impulse_density == 20.0
         assert cfg.eval_episodes == 10
+
+    def test_readme_names_every_refused_key(self):
+        """Every config key that a value-refusal case above names is in the README."""
+        def dotted(section, prefix=""):
+            for key, value in section.items():
+                yield prefix + key
+                if isinstance(value, dict):
+                    yield from dotted(value, prefix + key + ".")
+
+        known = set(dotted(yaml.safe_load(harness._default_config_path().read_text())))
+        messages = [HORIZON_REFUSAL] + [
+            case[1] for name, test in vars(TestConfig).items()
+            if name != "test_bad_key_names_its_path"
+            for mark in getattr(test, "pytestmark", [])
+            if mark.name == "parametrize" and "message" in mark.args[0]
+            for case in mark.args[1]]
+        named = {key for m in messages for key in re.findall(r"'([^']*)'", m)} & known
+        assert {"master_seed", "detector.window", "training.buffer_capacity",
+                "attack.reward.horizon_frames"} <= named
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert sorted(key for key in named if f"`{key}`" not in readme) == []
 
     def test_unknown_key_fails_via_cli(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
