@@ -33,6 +33,7 @@ __all__ = [
     "discounted_return",
     "NOISE_DOMAIN",
     "ACTION_DIM",
+    "FIELD_SEED_POLICIES",
 ]
 
 # Query coordinates reachable for the 9-bus case: |v| in pu, ln(bus+1).
@@ -59,6 +60,7 @@ def _layout(density: float, seed: int) -> gabor.GaborField:
 
 
 DEFAULT_ACTION_BOUNDS = ((0.05, 2.0), (0.05, 5.0), (0.0, OMEGA_MAX))
+FIELD_SEED_POLICIES = ("fixed", "per-episode", "per-step")
 
 
 def _domain_area(domain) -> float:
@@ -115,7 +117,7 @@ class AttackConfig:
             raise ValueError("action_bounds require low < high per dimension")
         if not (0 <= bounds[2, 0] and bounds[2, 1] < math.pi):
             raise ValueError("omega0 bounds must lie inside [0, pi)")
-        if self.field_seed_policy not in ("fixed", "per-episode", "per-step"):
+        if self.field_seed_policy not in FIELD_SEED_POLICIES:
             raise ValueError(f"unknown field_seed_policy '{self.field_seed_policy}'")
         if self.impulse_density <= 0:
             raise ValueError(f"impulse_density must be > 0, got {self.impulse_density}")
@@ -159,7 +161,10 @@ def project_perturbation(n, epsilon: float) -> np.ndarray:
     """Component-wise clamp into [-epsilon, +epsilon]."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return np.clip(np.asarray(n, dtype=float), -epsilon, epsilon)
+    # np.clip's bits, NaN and -0.0 included, without its Python wrapper. The
+    # per-step clamps all use this form; it matches np.clip for array bounds
+    # and for scalar bounds other than +-0.0.
+    return np.minimum(np.maximum(np.asarray(n, dtype=float), -epsilon), epsilon)
 
 
 def misdirection(label: int, attacked_posterior: float) -> float:
@@ -186,7 +191,7 @@ def reward(c: float, x, n, params: RewardParams, clamp_counter: list | None = No
         dev = np.abs(dev)
         n = np.abs(n)
     args = np.concatenate([params.k0 * dev, params.k0 * n])
-    clipped = np.clip(args, -EXP_CLAMP, EXP_CLAMP)
+    clipped = np.minimum(np.maximum(args, -EXP_CLAMP), EXP_CLAMP)
     if clamp_counter is not None:
         clamp_counter[0] += int(np.sum(clipped != args))
     return float(c - np.sum(np.exp(clipped)))
@@ -217,6 +222,7 @@ class AttackEnv:
                             if mask is None else mask)
         if len(self.access_mask) != self.bus_count:
             raise ValueError("access_mask length does not match bus_count")
+        self._hidden_buses = np.flatnonzero(~self.access_mask)
         self._action_low, self._action_high = np.asarray(config.action_bounds, dtype=float).T
         self.exp_clamp_count = 0
         self._clamp_counter = [0]
@@ -244,7 +250,7 @@ class AttackEnv:
         if policy == "fixed":
             return self.config.field_seed
         if policy == "per-episode":
-            return int(np.random.SeedSequence([self.seed, self._episode]).generate_state(1)[0])
+            return self._episode_field_seed
         return int(np.random.SeedSequence(
             [self.seed, self._episode, self._step_idx]).generate_state(1)[0])
 
@@ -266,7 +272,7 @@ class AttackEnv:
         a = np.asarray(action, dtype=float)
         if a.shape != (ACTION_DIM,):
             raise ValueError(f"action must have {ACTION_DIM} components")
-        clamped = np.clip(a, self._action_low, self._action_high)
+        clamped = np.minimum(np.maximum(a, self._action_low), self._action_high)
         return clamped, bool(np.any(clamped != a))
 
     # -- public API -------------------------------------------------------
@@ -275,6 +281,9 @@ class AttackEnv:
         """Start a fresh episode on the (fixed) scenario trace."""
         self._episode += 1
         self._step_idx = 0
+        if self.config.field_seed_policy == "per-episode":
+            self._episode_field_seed = int(
+                np.random.SeedSequence([self.seed, self._episode]).generate_state(1)[0])
         self._done = False
         self._compromised = self.trace.frames.copy()
         frames = np.arange(self._t0 + 1, self._t0 + 1 + self.t_f)
@@ -310,7 +319,8 @@ class AttackEnv:
         clean_frame = self.trace.frames[t]
         n = project_perturbation(gabor.perturbation_vector(field, clean_frame),
                                  self.config.epsilon)
-        n[~self.access_mask] = 0.0
+        if self._hidden_buses.size:
+            n[self._hidden_buses] = 0.0
         self._compromised[t] = clean_frame + n
 
         p_attacked = self._attacked_posterior(t)

@@ -155,7 +155,7 @@ def act(policy: Policy, state, noise_rng: np.random.Generator | None = None,
     low, high = policy.action_bounds[:, 0], policy.action_bounds[:, 1]
     if noise_rng is not None:
         a = a + noise_rng.normal(0.0, sigma * 0.5 * (high - low))
-    return np.clip(a, low, high)
+    return np.minimum(np.maximum(a, low), high)
 
 
 def soft_update(target: neural.Mlp, online: neural.Mlp, tau: float) -> neural.Mlp:

@@ -8,13 +8,18 @@ x = |measurement value|, y = log(bus index + 1).
 The carrier phase is linear in position, phi(p) = 2 pi F0 (p_x cos omega0 +
 p_y sin omega0), so each kernel's cosine splits by the angle-difference
 identity: cos(phi_q - phi_i) = cos phi_q cos phi_i + sin phi_q sin phi_i.
-Evaluating q query points against n impulses then takes 2n + 2q cos/sin
-calls, one (q, n) Gaussian envelope and two matrix-vector products, instead
-of q * n cosines.
+Evaluating q query points against n impulses then takes one complex `exp`
+pass over the n impulse phases (cos and sin from one sincos), 2q cos/sin
+calls for the queries, one (q, n) Gaussian envelope and two matrix-vector
+products, instead of q * n cosines. Under glibc the real and imaginary
+parts of exp(i phi) equal cos phi and sin phi bit for bit; where a libm
+rounds them apart, the field still agrees with a direct kernel sum to the
+1e-11 the benchmark checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,16 +120,21 @@ def evaluate_field(field: GaborField, x, y):
     With E the Gaussian envelope between queries and impulses, w the
     impulse weights and phi the carrier phase of a point,
     out = cos phi_q * (E @ (w K cos phi_i)) + sin phi_q * (E @ (w K sin phi_i)).
-    The cost is 2n + 2q cos/sin calls plus the (q, n) `exp` of E, for q
-    query points and n impulses. Accepts scalar coordinates (returns a
-    float) or arrays of query coordinates that broadcast together.
+    For q query points and n impulses the cost is one complex `exp` pass
+    over the n impulse phases, 2q cos/sin calls and the (q, n) `exp` of E.
+    Under glibc exp(i phi) gives cos phi and sin phi bit for bit; elsewhere
+    they may differ at rounding level, well inside the 1e-11 field check of
+    the benchmark. Accepts scalar coordinates (returns a float) or arrays of
+    query coordinates that broadcast together.
     """
     k = field.kernel
     fx = 2 * math.pi * k.F0 * math.cos(k.omega0)
     fy = 2 * math.pi * k.F0 * math.sin(k.omega0)
     phase = fx * field.x + fy * field.y
     amplitude = k.K * field.weight
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
     # The envelope is built in place: each fresh (q, n) temporary costs page
     # faults once the allocator has returned the previous call's memory.
     env = x[..., None] - field.x
@@ -135,8 +145,10 @@ def evaluate_field(field: GaborField, x, y):
     env *= -math.pi * k.sigma**2
     np.exp(env, out=env)
     query_phase = fx * x + fy * y
-    out = (np.cos(query_phase) * (env @ (amplitude * np.cos(phase)))
-           + np.sin(query_phase) * (env @ (amplitude * np.sin(phase))))
+    carrier = 1j * phase
+    np.exp(carrier, out=carrier)  # cos and sin of every impulse phase in one pass
+    out = (np.cos(query_phase) * (env @ (amplitude * carrier.real))
+           + np.sin(query_phase) * (env @ (amplitude * carrier.imag)))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -172,11 +184,18 @@ def build_field(
     return GaborField(kernel, xs, ys, ws)
 
 
+@functools.lru_cache(maxsize=8)
+def _bus_ordinates(bus_count: int) -> np.ndarray:
+    """Read-only ln(i + 1) for buses i = 0 .. bus_count - 1."""
+    ys = np.log(np.arange(bus_count) + 1.0)
+    ys.flags.writeable = False
+    return ys
+
+
 def perturbation_vector(field: GaborField, frame) -> np.ndarray:
     """Per-bus noise values read off the field at (|v_i|, ln(i+1))."""
     frame = np.asarray(frame, dtype=float)
     if not np.all(np.isfinite(frame)):
         raise ValueError("frame contains non-finite values")
-    ys = np.log(np.arange(len(frame)) + 1.0)
-    return np.atleast_1d(evaluate_field(field, np.abs(frame), ys))
+    return np.atleast_1d(evaluate_field(field, np.abs(frame), _bus_ordinates(len(frame))))
 

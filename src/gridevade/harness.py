@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import ddpg, detector as det, neural
-from .attack_env import AttackConfig, AttackEnv, RewardParams
+from .attack_env import ACTION_DIM, FIELD_SEED_POLICIES, AttackConfig, AttackEnv, RewardParams
 from .grid_traces import (
     BusCase,
     TraceScenario,
@@ -130,6 +130,7 @@ _LOWER_BOUNDS = (
     ("master_seed", 0),
     ("detector.epochs", 1),
     ("detector.batch_size", 1),
+    ("detector.train_traces", 1),
     ("attack.field_seed", 0),
     ("training.episodes", 0),
     ("training.restarts", 1),
@@ -181,6 +182,24 @@ def _check_values(raw: dict, scenario: TraceScenario) -> None:
     if density is not None and not (type(density) in (int, float) and 0 < density < np.inf):
         raise ValueError(
             f"config key 'attack.impulse_density' must be null or a number > 0, got {density!r}")
+    if not ac["epsilon"] > 0:
+        raise ValueError(f"config key 'attack.epsilon' must be > 0, got {ac['epsilon']}")
+    bounds = ac["action_bounds"]
+    if not (len(bounds) == ACTION_DIM and all(
+            type(pair) is list and len(pair) == 2
+            and all(type(b) in (int, float) and math.isfinite(b) for b in pair)
+            for pair in bounds)):
+        raise ValueError(
+            f"config key 'attack.action_bounds' must be {ACTION_DIM} [low, high] pairs of "
+            f"finite numbers, got {bounds!r}")
+    policy = ac["field_seed_policy"]
+    if policy not in FIELD_SEED_POLICIES:
+        raise ValueError(
+            f"config key 'attack.field_seed_policy' must be one of "
+            f"{', '.join(FIELD_SEED_POLICIES)}, got {policy!r}")
+    lam = ac["reward"]["lambda"]
+    if not 0 < lam <= 1:
+        raise ValueError(f"config key 'attack.reward.lambda' must lie in (0, 1], got {lam}")
     tr = raw["training"]
     if tr["batch_size"] > tr["buffer_capacity"]:
         raise ValueError(

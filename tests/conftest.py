@@ -29,3 +29,20 @@ def trained_detector(default_scenario):
     train_set, _ = split_dataset(traces, config.window, 0.75, seed=1)
     model, _ = det.train_detector(train_set, config, bus_count=9)
     return model
+
+
+@pytest.fixture
+def clamp_inputs():
+    """Draws of random vectors in which a third of the entries are NaN, +-0.0,
+    +-inf or huge: inputs on which a clamp must give np.clip's bits."""
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300])
+
+    def draw(size, scale, count=300, seed=0):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            v = rng.normal(0.0, scale, size)
+            hit = rng.random(size) < 1 / 3
+            v[hit] = rng.choice(special, hit.sum())
+            yield v
+
+    return draw

@@ -7,6 +7,7 @@ from gridevade import attack_env, gabor
 from gridevade import detector as det
 from gridevade.attack_env import (
     ACTION_DIM,
+    EXP_CLAMP,
     LAYOUT_PAD,
     NOISE_DOMAIN,
     AgentState,
@@ -24,6 +25,10 @@ from gridevade.grid_traces import windows
 
 def make_env(scenario, model, seed=0, **cfg_kw):
     return AttackEnv(scenario, model, AttackConfig(**cfg_kw), seed=seed)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def eq6_oracle(c, x, n, k0, x_hat):
@@ -80,6 +85,11 @@ class TestProjection:
 
     def test_clamps_negative(self):
         assert project_perturbation(np.array([-0.05]), 0.01)[0] == -0.01
+
+    @pytest.mark.parametrize("epsilon", [0.01, 1e-12, 50.0])
+    def test_bits_match_np_clip(self, clamp_inputs, epsilon):
+        for n in clamp_inputs(9, scale=2 * epsilon):
+            assert same_bits(project_perturbation(n, epsilon), np.clip(n, -epsilon, epsilon))
 
 
 class TestMisdirection:
@@ -140,6 +150,21 @@ class TestReward:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             reward(0.0, np.ones(3), np.ones(2), RewardParams())
+
+    @pytest.mark.parametrize("penalty_abs", [False, True])
+    def test_clamp_and_counter_match_np_clip(self, clamp_inputs, penalty_abs):
+        params = RewardParams(k0=10.0, x_hat=1.0, penalty_abs=penalty_abs)
+        xs, ns = clamp_inputs(9, scale=8.0, seed=1), clamp_inputs(9, scale=8.0, seed=2)
+        for x, n in zip(xs, ns):
+            dev, pen = x - 1.0, n
+            if penalty_abs:
+                dev, pen = np.abs(dev), np.abs(pen)
+            args = np.concatenate([10.0 * dev, 10.0 * pen])
+            clipped = np.clip(args, -EXP_CLAMP, EXP_CLAMP)
+            counter = [3]
+            got = reward(0.25, x, n, params, clamp_counter=counter)
+            assert same_bits(got, 0.25 - np.sum(np.exp(clipped)))
+            assert counter == [3 + int(np.sum(clipped != args))]
 
 
 class TestDiscountedReturn:
@@ -254,6 +279,16 @@ class TestStep:
         bounds = np.asarray(env.config.action_bounds)
         assert np.all(out.info["action"] <= bounds[:, 1])
 
+    def test_clamp_action_matches_np_clip(self, default_scenario, trained_detector,
+                                          clamp_inputs):
+        env = make_env(default_scenario, trained_detector)
+        low, high = np.asarray(env.config.action_bounds).T
+        for a in clamp_inputs(ACTION_DIM, scale=4.0):
+            want = np.clip(a, low, high)
+            clamped, was_clamped = env.clamp_action(a)
+            assert same_bits(clamped, want)
+            assert was_clamped is bool(np.any(want != a))
+
     def test_state_dimension_constant(self, default_scenario, trained_detector):
         env = make_env(default_scenario, trained_detector)
         s = env.reset()
@@ -354,6 +389,36 @@ class TestFieldLayout:
                                       seed=self.policy_seed(env, episode, row), pad=LAYOUT_PAD)
             want = gabor.perturbation_vector(field, env.trace.frames[out.info["frame"]])
             assert np.array_equal(out.info["perturbation"], want), (policy, episode, row)
+
+    def test_per_episode_seed_is_drawn_at_reset(self, default_scenario, trained_detector,
+                                                monkeypatch):
+        # Every step of an episode reads its layout under the episode's seed,
+        # and no step builds a SeedSequence to find it.
+        layout, seed_sequence = attack_env._layout, np.random.SeedSequence
+        seeds, sequences = [], []
+
+        def recorded_layout(density, seed):
+            seeds.append(seed)
+            return layout(density, seed)
+
+        def counted_sequence(*args, **kwargs):
+            sequences.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(attack_env, "_layout", recorded_layout)
+        monkeypatch.setattr(np.random, "SeedSequence", counted_sequence)
+        env = make_env(default_scenario, trained_detector, seed=4,
+                       field_seed_policy="per-episode",
+                       reward_params=RewardParams(horizon_frames=self.STEPS))
+        for episode in range(self.EPISODES):
+            env.reset()
+            seeds.clear()
+            sequences.clear()
+            for _ in range(env.t_f):
+                env.step(np.array([0.5, 1.0, 0.3]))
+            want = int(seed_sequence([4, episode]).generate_state(1)[0])
+            assert seeds == [want] * self.STEPS
+            assert sequences == []
 
     @pytest.mark.parametrize("policy, draws", [
         ("fixed", 1),                   # one layout for both envs and every episode

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridevade import neural
+from gridevade import ddpg, neural
 from gridevade.attack_env import AgentState
 from gridevade.ddpg import (
     DdpgAgent,
@@ -204,6 +204,13 @@ class TestAct:
         want = act(agent, s) + np.random.default_rng(4).normal(0.0, 0.1 * half_span)
         assert np.array_equal(a, np.clip(want, agent.action_bounds[:, 0],
                                          agent.action_bounds[:, 1]))
+
+    def test_clamp_matches_np_clip(self, monkeypatch, clamp_inputs):
+        agent = make_agent(3, BOUNDS, seed=1)
+        low, high = agent.action_bounds[:, 0], agent.action_bounds[:, 1]
+        for a in clamp_inputs(3, scale=4.0):
+            monkeypatch.setattr(ddpg, "_scale_actions", lambda policy, u: a)
+            assert act(agent, np.zeros(3)).tobytes() == np.clip(a, low, high).tobytes()
 
     def test_deterministic_without_exploration(self):
         agent = make_agent(3, BOUNDS, seed=2)

@@ -1,8 +1,10 @@
 import math
+import platform
 
 import numpy as np
 import pytest
 
+from gridevade import gabor
 from gridevade.attack_env import DEFAULT_IMPULSE_DENSITY, LAYOUT_PAD, NOISE_DOMAIN
 from gridevade.gabor import (
     GaborField,
@@ -166,6 +168,43 @@ class TestEvaluateField:
                 got = evaluate_field(field, x, y)
                 want = direct_sum(field, x, y)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("shape_x, shape_y", [
+        ((), ()), ((9,), (9,)), ((2, 3), (2, 3)), ((2, 3), ()), ((3,), (2, 1)),
+    ])
+    def test_query_shapes_match_kernel_sums(self, shape_x, shape_y):
+        rng = np.random.default_rng(41)
+        field = random_field(rng)
+        qx, qy = rng.uniform(0, 1.2, shape_x), rng.uniform(0, 2.3, shape_y)
+        got = evaluate_field(field, qx, qy)
+        bx, by = np.broadcast_arrays(qx, qy)
+        want = [direct_sum(field, x, y) for x, y in zip(bx.ravel(), by.ravel())]
+        assert np.shape(got) == bx.shape
+        assert type(got) is float if bx.ndim == 0 else got.dtype == float
+        assert np.allclose(np.ravel(got), want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="exp(i phi) equals cos/sin bit for bit under glibc only")
+    def test_carrier_equals_separate_cos_sin(self):
+        """The one-pass complex carrier against separate np.cos/np.sin calls."""
+        rng = np.random.default_rng(42)
+        ys = np.log(np.arange(9) + 1.0)
+        for seed in range(200):
+            kernel = GaborKernelParams(
+                K=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.05, 2.0),
+                F0=rng.uniform(0.0, 5.0), omega0=rng.uniform(0.0, math.pi * 0.999))
+            field = build_field(kernel, DEFAULT_IMPULSE_DENSITY, NOISE_DOMAIN, seed=seed,
+                                pad=LAYOUT_PAD)
+            xs = rng.uniform(0.8, 1.2, 9)
+            fx = 2 * math.pi * kernel.F0 * math.cos(kernel.omega0)
+            fy = 2 * math.pi * kernel.F0 * math.sin(kernel.omega0)
+            phase, query_phase = fx * field.x + fy * field.y, fx * xs + fy * ys
+            amplitude = kernel.K * field.weight
+            env = np.exp(-math.pi * kernel.sigma**2 * ((xs[:, None] - field.x) ** 2
+                                                      + (ys[:, None] - field.y) ** 2))
+            want = (np.cos(query_phase) * (env @ (amplitude * np.cos(phase)))
+                    + np.sin(query_phase) * (env @ (amplitude * np.sin(phase))))
+            assert np.array_equal(perturbation_vector(field, xs), want)
 
     def test_boundedness(self):
         rng = np.random.default_rng(4)
@@ -337,4 +376,12 @@ class TestPerturbationVector:
     def test_nonfinite_frame_rejected(self):
         with pytest.raises(ValueError):
             perturbation_vector(EMPTY, [1.0, np.nan])
+
+    def test_bus_ordinates_are_cached_read_only(self):
+        ys = gabor._bus_ordinates(9)
+        assert gabor._bus_ordinates(9) is ys
+        assert np.array_equal(ys, np.log(np.arange(9) + 1.0))
+        assert not ys.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ys[0] = 1.0
 

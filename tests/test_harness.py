@@ -193,6 +193,7 @@ class TestConfig:
          "trace; got 80"),
         ("detector: {epochs: 0}", "config key 'detector.epochs' must be >= 1, got 0"),
         ("detector: {batch_size: 0}", "config key 'detector.batch_size' must be >= 1, got 0"),
+        ("detector: {train_traces: 0}", "config key 'detector.train_traces' must be >= 1, got 0"),
         ("detector: {hidden: [64, 0]}",
          "config key 'detector.hidden' must be a list of ints >= 1, got [64, 0]"),
         ("detector: {hidden: [64, 2.5]}",
@@ -229,6 +230,42 @@ class TestConfig:
     def test_bad_agent_value_names_its_path(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("attack: {epsilon: 0}", "config key 'attack.epsilon' must be > 0, got 0.0"),
+        ("attack: {epsilon: -0.01}", "config key 'attack.epsilon' must be > 0, got -0.01"),
+        ("attack: {action_bounds: [[.nan, 2.0], [0.05, 5.0], [0.0, 3.0]]}",
+         "config key 'attack.action_bounds' must be 3 [low, high] pairs of finite numbers, "
+         "got [[nan, 2.0], [0.05, 5.0], [0.0, 3.0]]"),
+        ("attack: {action_bounds: [[0.05, 2.0], [0.05, .inf], [0.0, 3.0]]}",
+         "config key 'attack.action_bounds' must be 3 [low, high] pairs of finite numbers, "
+         "got [[0.05, 2.0], [0.05, inf], [0.0, 3.0]]"),
+        ("attack: {action_bounds: [[0.05, 2.0], [0.05, 5.0]]}",
+         "config key 'attack.action_bounds' must be 3 [low, high] pairs of finite numbers, "
+         "got [[0.05, 2.0], [0.05, 5.0]]"),
+        ("attack: {action_bounds: [[0.05, 2.0], [0.05, five], [0.0, 3.0]]}",
+         "config key 'attack.action_bounds' must be 3 [low, high] pairs of finite numbers, "
+         "got [[0.05, 2.0], [0.05, 'five'], [0.0, 3.0]]"),
+        ("attack: {field_seed_policy: bogus}",
+         "config key 'attack.field_seed_policy' must be one of fixed, per-episode, per-step, "
+         "got 'bogus'"),
+        ("attack: {reward: {lambda: 1.5}}",
+         "config key 'attack.reward.lambda' must lie in (0, 1], got 1.5"),
+        ("attack: {reward: {lambda: 0}}",
+         "config key 'attack.reward.lambda' must lie in (0, 1], got 0.0"),
+    ])
+    def test_bad_attack_value_names_its_path(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load_text(tmp_path, text + "\n")
+
+    def test_attack_value_limits_are_accepted(self, tmp_path):
+        cfg = self.load_text(
+            tmp_path, "attack: {epsilon: 1.0e-9, field_seed_policy: per-step, "
+                      "action_bounds: [[0, 1], [0, 1], [0, 1]], reward: {lambda: 1}}\n")
+        assert cfg.attack_config.epsilon == 1e-9
+        assert cfg.attack_config.field_seed_policy == "per-step"
+        assert cfg.attack_config.action_bounds == ((0, 1), (0, 1), (0, 1))
+        assert cfg.agent_gamma == 1.0
 
     def test_agent_value_limits_are_accepted(self, tmp_path):
         cfg = self.load_text(
