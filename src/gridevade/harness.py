@@ -125,52 +125,60 @@ def _resolve(shipped: dict, user, path: str = "") -> dict:
     return resolved
 
 
-# Keys refused below a lower bound, as "must be >= <bound>".
-_LOWER_BOUNDS = (
-    ("master_seed", 0),
-    ("detector.epochs", 1),
-    ("detector.batch_size", 1),
-    ("detector.train_traces", 1),
-    ("attack.field_seed", 0),
-    ("training.episodes", 0),
-    ("training.restarts", 1),
-    ("training.batch_size", 1),
-    ("training.warmup", 0),
-    ("training.sigma_start", 0),
-    ("training.sigma_end", 0),
-    ("evaluation.episodes", 1),
+def _at_least(bound):
+    return (lambda value: value >= bound), f"be >= {bound}"
+
+
+_POSITIVE = (lambda value: value > 0), "be > 0"
+_LAYER_SIZES = (lambda sizes: all(type(h) is int and h >= 1 for h in sizes),
+                "be a list of ints >= 1")
+
+# Rules on one key each, as (dotted key, test, requirement): a value the test
+# rejects is refused as "config key '<key>' must <requirement>, got <value>".
+_RULES = (
+    ("master_seed", *_at_least(0)),
+    ("case_file", lambda name: name is None or (type(name) is str and name != ""),
+     "be null or a file name"),
+    ("detector.hidden", *_LAYER_SIZES),
+    ("detector.threshold", lambda p: 0 < p < 1, "lie in (0, 1)"),
+    ("detector.epochs", *_at_least(1)),
+    ("detector.batch_size", *_at_least(1)),
+    ("detector.learning_rate", *_POSITIVE),
+    ("detector.train_traces", *_at_least(1)),
+    ("detector.split_ratio", lambda p: 0 < p < 1, "lie in (0, 1)"),
+    ("attack.epsilon", *_POSITIVE),
+    ("attack.action_bounds", lambda bounds: len(bounds) == ACTION_DIM and all(
+        type(pair) is list and len(pair) == 2
+        and all(type(b) in (int, float) and math.isfinite(b) for b in pair) for pair in bounds),
+     f"be {ACTION_DIM} [low, high] pairs of finite numbers"),
+    ("attack.impulse_density",
+     lambda density: density is None or (type(density) in (int, float) and density > 0),
+     "be null or a number > 0"),
+    ("attack.field_seed_policy", lambda policy: policy in FIELD_SEED_POLICIES,
+     f"be one of {', '.join(FIELD_SEED_POLICIES)}"),
+    ("attack.field_seed", *_at_least(0)),
+    ("attack.reward.lambda", lambda lam: 0 < lam <= 1, "lie in (0, 1]"),
+    ("agent.hidden", *_LAYER_SIZES),
+    ("agent.tau", lambda tau: 0 < tau <= 1, "lie in (0, 1]"),
+    ("agent.actor_lr", *_POSITIVE),
+    ("agent.critic_lr", *_POSITIVE),
+    ("training.episodes", *_at_least(0)),
+    ("training.restarts", *_at_least(1)),
+    ("training.batch_size", *_at_least(1)),
+    ("training.warmup", *_at_least(0)),
+    ("training.sigma_start", *_at_least(0)),
+    ("training.sigma_end", *_at_least(0)),
+    ("evaluation.episodes", *_at_least(1)),
 )
 
 
 def _check_values(raw: dict, scenario: TraceScenario) -> None:
-    """Reject values the pipeline would otherwise run on silently or fail on late."""
+    """Reject values that only the scenario or several keys together rule out."""
     dc = raw["detector"]
     if not 1 <= dc["window"] < scenario.n_frames:
         raise ValueError(
             f"config key 'detector.window' must be from 1 to {scenario.n_frames - 1}, one less "
             f"than the frames of a trace; got {dc['window']}")
-    for key, bound in _LOWER_BOUNDS:
-        value = reduce(dict.__getitem__, key.split("."), raw)
-        if value < bound:
-            raise ValueError(f"config key '{key}' must be >= {bound}, got {value}")
-    if not all(type(h) is int and h >= 1 for h in dc["hidden"]):
-        raise ValueError(
-            f"config key 'detector.hidden' must be a list of ints >= 1, got {dc['hidden']!r}")
-    if not dc["learning_rate"] > 0:
-        raise ValueError(
-            f"config key 'detector.learning_rate' must be > 0, got {dc['learning_rate']}")
-    for key in ("threshold", "split_ratio"):
-        if not 0 < dc[key] < 1:
-            raise ValueError(f"config key 'detector.{key}' must lie in (0, 1), got {dc[key]}")
-    ag = raw["agent"]
-    if not 0 < ag["tau"] <= 1:
-        raise ValueError(f"config key 'agent.tau' must lie in (0, 1], got {ag['tau']}")
-    if not all(type(h) is int and h >= 1 for h in ag["hidden"]):
-        raise ValueError(
-            f"config key 'agent.hidden' must be a list of ints >= 1, got {ag['hidden']!r}")
-    for key in ("actor_lr", "critic_lr"):
-        if not ag[key] > 0:
-            raise ValueError(f"config key 'agent.{key}' must be > 0, got {ag[key]}")
     ac = raw["attack"]
     mask, buses = ac["access_mask"], scenario.case.bus_count
     if mask is not None and not (type(mask) is list and len(mask) == buses
@@ -178,28 +186,6 @@ def _check_values(raw: dict, scenario: TraceScenario) -> None:
         raise ValueError(
             f"config key 'attack.access_mask' must be null or a list of {buses} bools, "
             f"got {mask!r}")
-    density = ac["impulse_density"]
-    if density is not None and not (type(density) in (int, float) and 0 < density < np.inf):
-        raise ValueError(
-            f"config key 'attack.impulse_density' must be null or a number > 0, got {density!r}")
-    if not ac["epsilon"] > 0:
-        raise ValueError(f"config key 'attack.epsilon' must be > 0, got {ac['epsilon']}")
-    bounds = ac["action_bounds"]
-    if not (len(bounds) == ACTION_DIM and all(
-            type(pair) is list and len(pair) == 2
-            and all(type(b) in (int, float) and math.isfinite(b) for b in pair)
-            for pair in bounds)):
-        raise ValueError(
-            f"config key 'attack.action_bounds' must be {ACTION_DIM} [low, high] pairs of "
-            f"finite numbers, got {bounds!r}")
-    policy = ac["field_seed_policy"]
-    if policy not in FIELD_SEED_POLICIES:
-        raise ValueError(
-            f"config key 'attack.field_seed_policy' must be one of "
-            f"{', '.join(FIELD_SEED_POLICIES)}, got {policy!r}")
-    lam = ac["reward"]["lambda"]
-    if not 0 < lam <= 1:
-        raise ValueError(f"config key 'attack.reward.lambda' must lie in (0, 1], got {lam}")
     tr = raw["training"]
     if tr["batch_size"] > tr["buffer_capacity"]:
         raise ValueError(
@@ -231,13 +217,11 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
         raw = _resolve(raw, yaml.safe_load(Path(path).read_text()) or {})
     if seed_override is not None:
         raw["master_seed"] = int(seed_override)
-    master_seed = raw["master_seed"]
-
-    # Checked here, not in _check_values: that needs the case this file names.
-    case_file = raw["case_file"]
-    if case_file is not None and not (type(case_file) is str and case_file):
-        raise ValueError(
-            f"config key 'case_file' must be null or a file name, got {case_file!r}")
+    for key, test, requirement in _RULES:
+        value = reduce(dict.__getitem__, key.split("."), raw)
+        if not test(value):
+            raise ValueError(f"config key '{key}' must {requirement}, got {value!r}")
+    master_seed, case_file = raw["master_seed"], raw["case_file"]
     case = default_case() if case_file is None else load_case(case_file)
     scenario = TraceScenario(case=case, seed=master_seed, **raw["scenario"])
     _check_values(raw, scenario)
