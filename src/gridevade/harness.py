@@ -139,6 +139,13 @@ _RULES = (
     ("master_seed", *_at_least(0)),
     ("case_file", lambda name: name is None or (type(name) is str and name != ""),
      "be null or a file name"),
+    ("scenario.dt", *_POSITIVE),
+    ("scenario.fault_start", *_at_least(0)),
+    ("scenario.fault_bus", *_at_least(0)),
+    ("scenario.fault_depth", *_at_least(0)),
+    ("scenario.fault_freq", *_at_least(0)),
+    ("scenario.fault_damping", *_at_least(0)),
+    ("scenario.sensor_noise_std", *_at_least(0)),
     ("detector.hidden", *_LAYER_SIZES),
     ("detector.threshold", lambda p: 0 < p < 1, "lie in (0, 1)"),
     ("detector.epochs", *_at_least(1)),
@@ -151,12 +158,17 @@ _RULES = (
         type(pair) is list and len(pair) == 2
         and all(type(b) in (int, float) and math.isfinite(b) for b in pair) for pair in bounds),
      f"be {ACTION_DIM} [low, high] pairs of finite numbers"),
+    # Tested only once the row above has passed, so it may unpack and index the pairs.
+    ("attack.action_bounds", lambda bounds: all(low < high for low, high in bounds)
+     and 0 <= bounds[2][0] and bounds[2][1] < math.pi,
+     "have low < high in each pair and omega0 bounds inside [0, pi)"),
     ("attack.impulse_density",
      lambda density: density is None or (type(density) in (int, float) and density > 0),
      "be null or a number > 0"),
     ("attack.field_seed_policy", lambda policy: policy in FIELD_SEED_POLICIES,
      f"be one of {', '.join(FIELD_SEED_POLICIES)}"),
     ("attack.field_seed", *_at_least(0)),
+    ("attack.reward.x_hat", *_POSITIVE),
     ("attack.reward.lambda", lambda lam: 0 < lam <= 1, "lie in (0, 1]"),
     ("agent.hidden", *_LAYER_SIZES),
     ("agent.tau", lambda tau: 0 < tau <= 1, "lie in (0, 1]"),
@@ -172,15 +184,24 @@ _RULES = (
 )
 
 
-def _check_values(raw: dict, scenario: TraceScenario) -> None:
-    """Reject values that only the scenario or several keys together rule out."""
+def _check_values(raw: dict, case: BusCase) -> TraceScenario:
+    """Reject values that only the case or several keys together rule out, and
+    return the scenario of the checked values."""
+    sc = raw["scenario"]
+    for key, limit, name in (("dt", sc["horizon"], "'scenario.horizon'"),
+                             ("fault_start", sc["horizon"], "'scenario.horizon'"),
+                             ("fault_bus", case.bus_count, "the case's bus count")):
+        if not sc[key] < limit:
+            raise ValueError(
+                f"config key 'scenario.{key}' ({sc[key]}) must be less than {name} ({limit})")
+    scenario = TraceScenario(case=case, seed=raw["master_seed"], **sc)
     dc = raw["detector"]
     if not 1 <= dc["window"] < scenario.n_frames:
         raise ValueError(
             f"config key 'detector.window' must be from 1 to {scenario.n_frames - 1}, one less "
             f"than the frames of a trace; got {dc['window']}")
     ac = raw["attack"]
-    mask, buses = ac["access_mask"], scenario.case.bus_count
+    mask, buses = ac["access_mask"], case.bus_count
     if mask is not None and not (type(mask) is list and len(mask) == buses
                                  and all(type(b) is bool for b in mask)):
         raise ValueError(
@@ -204,6 +225,7 @@ def _check_values(raw: dict, scenario: TraceScenario) -> None:
         raise ValueError(
             f"config key 'training.{key}' ({tr[key]}) must not exceed the {held} transitions "
             f"the replay buffer holds by the end of training: no update could run")
+    return scenario
 
 
 def load_config(path=None, seed_override: int | None = None) -> RunConfig:
@@ -223,8 +245,7 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
             raise ValueError(f"config key '{key}' must {requirement}, got {value!r}")
     master_seed, case_file = raw["master_seed"], raw["case_file"]
     case = default_case() if case_file is None else load_case(case_file)
-    scenario = TraceScenario(case=case, seed=master_seed, **raw["scenario"])
-    _check_values(raw, scenario)
+    scenario = _check_values(raw, case)
 
     dc = dict(raw["detector"])
     train_traces, split_ratio = dc.pop("train_traces"), dc.pop("split_ratio")

@@ -253,10 +253,51 @@ class TestConfig:
          "config key 'attack.reward.lambda' must lie in (0, 1], got 1.5"),
         ("attack: {reward: {lambda: 0}}",
          "config key 'attack.reward.lambda' must lie in (0, 1], got 0.0"),
+        ("attack: {reward: {x_hat: 0}}", "config key 'attack.reward.x_hat' must be > 0, got 0.0"),
+        ("attack: {reward: {x_hat: -1}}",
+         "config key 'attack.reward.x_hat' must be > 0, got -1.0"),
+        ("attack: {action_bounds: [[2.0, 0.05], [0.05, 5.0], [0.0, 3.0]]}",
+         "config key 'attack.action_bounds' must have low < high in each pair and omega0 bounds "
+         "inside [0, pi), got [[2.0, 0.05], [0.05, 5.0], [0.0, 3.0]]"),
+        ("attack: {action_bounds: [[0.05, 2.0], [0.05, 5.0], [0.0, 3.5]]}",
+         "config key 'attack.action_bounds' must have low < high in each pair and omega0 bounds "
+         "inside [0, pi), got [[0.05, 2.0], [0.05, 5.0], [0.0, 3.5]]"),
+        ("attack: {action_bounds: [[0.05, 2.0], [0.05, 5.0], [-0.1, 3.0]]}",
+         "config key 'attack.action_bounds' must have low < high in each pair and omega0 bounds "
+         "inside [0, pi), got [[0.05, 2.0], [0.05, 5.0], [-0.1, 3.0]]"),
     ])
     def test_bad_attack_value_names_its_path(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("scenario: {dt: 0}", "config key 'scenario.dt' must be > 0, got 0.0"),
+        ("scenario: {dt: 20}",
+         "config key 'scenario.dt' (20.0) must be less than 'scenario.horizon' (10.0)"),
+        ("scenario: {horizon: 0.5}",
+         "config key 'scenario.fault_start' (5.4) must be less than 'scenario.horizon' (0.5)"),
+        ("scenario: {fault_start: -1}", "config key 'scenario.fault_start' must be >= 0, got -1.0"),
+        ("scenario: {fault_bus: 12}",
+         "config key 'scenario.fault_bus' (12) must be less than the case's bus count (9)"),
+        ("scenario: {fault_bus: -1}", "config key 'scenario.fault_bus' must be >= 0, got -1"),
+        ("scenario: {fault_depth: -0.1}",
+         "config key 'scenario.fault_depth' must be >= 0, got -0.1"),
+        ("scenario: {fault_freq: -1.5}", "config key 'scenario.fault_freq' must be >= 0, got -1.5"),
+        ("scenario: {fault_damping: -3}",
+         "config key 'scenario.fault_damping' must be >= 0, got -3.0"),
+        ("scenario: {sensor_noise_std: -0.001}",
+         "config key 'scenario.sensor_noise_std' must be >= 0, got -0.001"),
+    ])
+    def test_bad_scenario_value_names_its_path(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load_text(tmp_path, text + "\n")
+
+    def test_scenario_value_limits_are_accepted(self, tmp_path):
+        cfg = self.load_text(
+            tmp_path, "{scenario: {fault_start: 0, fault_bus: 8, fault_depth: 0, fault_freq: 0, "
+                      "fault_damping: 0, sensor_noise_std: 0}, detector: {window: 1}}\n")
+        assert cfg.scenario.fault_start == cfg.scenario.fault_damping == 0.0
+        assert cfg.scenario.fault_bus == 8
 
     def test_attack_value_limits_are_accepted(self, tmp_path):
         cfg = self.load_text(
@@ -318,6 +359,31 @@ class TestConfig:
                 "attack.reward.horizon_frames"} <= named
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         assert sorted(key for key in named if f"`{key}`" not in readme) == []
+
+    def test_every_shipped_key_has_a_rule(self):
+        """Each leaf key of the shipped config is checked by a `_RULES` row or a
+        rule of several keys in `_check_values`, or takes any value of its type;
+        the README names each `_RULES` key."""
+        several = {"scenario.dt", "scenario.horizon", "scenario.fault_start",
+                   "scenario.fault_bus", "detector.window", "attack.access_mask",
+                   "attack.reward.horizon_frames", "training.episodes", "training.batch_size",
+                   "training.buffer_capacity", "training.warmup"}
+        any_value = {"attack.reward.k0", "attack.reward.penalty_abs",
+                     "attack.reward.use_compromised_x"}
+        def dotted_leaves(section, prefix=""):
+            for key, value in section.items():
+                if isinstance(value, dict):
+                    yield from dotted_leaves(value, prefix + key + ".")
+                else:
+                    yield prefix + key
+
+        leaves = set(dotted_leaves(yaml.safe_load(harness._default_config_path().read_text())))
+        ruled = {key for key, _, _ in harness._RULES}
+        assert ruled | several | any_value <= leaves
+        assert not any_value & (ruled | several)
+        assert sorted(leaves - ruled - several - any_value) == []
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert sorted(key for key in ruled if f"`{key}`" not in readme) == []
 
     def test_unknown_key_fails_via_cli(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
