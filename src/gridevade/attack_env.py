@@ -193,8 +193,8 @@ def reward(c: float, x, n, params: RewardParams, clamp_counter: list | None = No
     args = np.concatenate([params.k0 * dev, params.k0 * n])
     clipped = np.minimum(np.maximum(args, -EXP_CLAMP), EXP_CLAMP)
     if clamp_counter is not None:
-        clamp_counter[0] += int(np.sum(clipped != args))
-    return float(c - np.sum(np.exp(clipped)))
+        clamp_counter[0] += int((clipped != args).sum())
+    return float(c - np.exp(clipped).sum())
 
 
 def discounted_return(rewards, lam: float) -> float:
@@ -273,7 +273,7 @@ class AttackEnv:
         if a.shape != (ACTION_DIM,):
             raise ValueError(f"action must have {ACTION_DIM} components")
         clamped = np.minimum(np.maximum(a, self._action_low), self._action_high)
-        return clamped, bool(np.any(clamped != a))
+        return clamped, bool((clamped != a).any())
 
     # -- public API -------------------------------------------------------
 

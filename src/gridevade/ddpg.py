@@ -83,15 +83,23 @@ class ReplayBuffer:
 
 @dataclass
 class Policy:
-    """The actor and the (ACTION_DIM, 2) bounds its tanh outputs are scaled onto."""
+    """The actor and the (ACTION_DIM, 2) bounds its tanh outputs are scaled onto.
+
+    The bounds are a read-only copy; `low`, `high` and `half_span` (half of
+    high - low) are derived from them once, here.
+    """
 
     actor: neural.Mlp
     action_bounds: np.ndarray
 
     def __post_init__(self):
-        self.action_bounds = np.asarray(self.action_bounds, dtype=float)
+        self.action_bounds = np.array(self.action_bounds, dtype=float)
+        self.action_bounds.flags.writeable = False
         if self.actor.layer_sizes[-1] != self.action_bounds.shape[0]:
             raise ValueError("actor output dim does not match action_bounds")
+        self.low, self.high = self.action_bounds.T
+        self.half_span = 0.5 * (self.high - self.low)
+        self.half_span.flags.writeable = False
 
 
 @dataclass
@@ -140,8 +148,8 @@ def make_agent(state_dim: int, action_bounds, seed: int = 0, hidden=(64, 64),
 
 def _scale_actions(policy: Policy, u: np.ndarray) -> np.ndarray:
     """Map actor outputs in [-1, 1] affinely onto the action bounds."""
-    low, high = policy.action_bounds[:, 0], policy.action_bounds[:, 1]
-    return low + (u + 1.0) * 0.5 * (high - low)
+    # (u + 1) * (0.5 * span) has the bits of (u + 1) * 0.5 * span: halving is exact.
+    return policy.low + (u + 1.0) * policy.half_span
 
 
 def act(policy: Policy, state, noise_rng: np.random.Generator | None = None,
@@ -149,13 +157,12 @@ def act(policy: Policy, state, noise_rng: np.random.Generator | None = None,
     """The policy's action; with `noise_rng`, plus Gaussian noise of `sigma`
     half-spans of the bounds per dimension. Clamped to the bounds."""
     s = state.flatten() if isinstance(state, AgentState) else state
-    s = np.ravel(np.asarray(s, dtype=float))  # a view of an already-flat vector
+    s = np.asarray(s, dtype=float).ravel()  # a view of an already-flat vector
     u = neural.forward(policy.actor, s)
     a = _scale_actions(policy, u)
-    low, high = policy.action_bounds[:, 0], policy.action_bounds[:, 1]
     if noise_rng is not None:
-        a = a + noise_rng.normal(0.0, sigma * 0.5 * (high - low))
-    return np.minimum(np.maximum(a, low), high)
+        a = a + noise_rng.normal(0.0, sigma * policy.half_span)
+    return np.minimum(np.maximum(a, policy.low), policy.high)
 
 
 def soft_update(target: neural.Mlp, online: neural.Mlp, tau: float) -> neural.Mlp:
@@ -198,8 +205,7 @@ def train_step(agent: DdpgAgent, buffer: ReplayBuffer, batch_size: int):
                                        np.full((batch_size, 1), -1.0 / batch_size),
                                        critic_cache)
     dq_da = input_grad[:, state_dim:]
-    span = 0.5 * (agent.action_bounds[:, 1] - agent.action_bounds[:, 0])
-    actor_grads = neural.backward(agent.actor, s, dq_da * span, cache=actor_cache)
+    actor_grads = neural.backward(agent.actor, s, dq_da * agent.half_span, cache=actor_cache)
     neural.adam_step(agent.actor_opt, agent.actor, actor_grads)
 
     soft_update(agent.target_actor, agent.actor, agent.tau)

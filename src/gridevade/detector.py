@@ -89,7 +89,8 @@ def train_detector(train_set, config: DetectorConfig, bus_count: int):
     """Minimize binary cross-entropy with mini-batch Adam.
 
     `train_set` is a list of (window_frames, label) pairs as produced by
-    grid_traces.split_dataset. Returns (DetectorModel, final_loss).
+    grid_traces.split_dataset. Returns (DetectorModel, final_loss): the
+    mean mini-batch binary cross-entropy of the last epoch, NaN at 0 epochs.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -105,22 +106,24 @@ def train_detector(train_set, config: DetectorConfig, bus_count: int):
     rng = np.random.default_rng(config.seed + 1)
 
     n = len(X)
-    loss = float("nan")
     eps = 1e-7
-    for _ in range(config.epochs):
+    # The returned loss is the last epoch's mean batch BCE, so only that epoch computes it.
+    losses = []
+    for epoch in range(config.epochs):
+        final = epoch == config.epochs - 1
         order = rng.permutation(n)
-        losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             xb, yb = X[idx], y[idx]
             out, cache = neural.forward_full(net, xb)
             p = np.clip(out[:, 0], eps, 1 - eps)
-            losses.append(float(np.mean(-yb * np.log(p) - (1 - yb) * np.log(1 - p))))
+            if final:
+                losses.append(float(np.mean(-yb * np.log(p) - (1 - yb) * np.log(1 - p))))
             # dL/dp; the sigmoid derivative inside backward restores (p - y)/B.
             gout = ((p - yb) / (p * (1 - p)))[:, None] / len(idx)
             grads = neural.backward(net, xb, gout, cache=cache)
             neural.adam_step(opt, net, grads)
-        loss = float(np.mean(losses))
+    loss = float(np.mean(losses)) if losses else float("nan")
     model = DetectorModel(net=net, window=config.window, bus_count=bus_count,
                           threshold=config.threshold)
     return model, loss

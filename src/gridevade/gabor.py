@@ -15,6 +15,14 @@ products, instead of q * n cosines. Under glibc the real and imaginary
 parts of exp(i phi) equal cos phi and sin phi bit for bit; where a libm
 rounds them apart, the field still agrees with a direct kernel sum to the
 1e-11 the benchmark checks.
+
+With inputs that vary from call to call, as they do when every step draws
+a new layout, that complex `exp` is the largest term of one evaluation:
+about 30 us of 63 us for the ~1,390 impulses of the shipped padded layout
+(1 BLAS thread, shared 2-vCPU x86-64). Timing one repeated input
+understates it (about 17 us of 47 us on the same host). `build_field`
+gives the field its own fresh draws as read-only columns, without copying
+or re-checking them.
 """
 
 from __future__ import annotations
@@ -79,11 +87,13 @@ def gabor_kernel(params: GaborKernelParams, x, y):
 class GaborField:
     """One Gabor kernel applied at an immutable array of weighted impulses.
 
-    `x`, `y` and `weight` are contiguous read-only columns. `impulses` is the
-    same data as a read-only record array, built on each access and not
-    kept, so a field holds its impulses once; its elements expose the
-    column names as attributes. `with_kernel` puts another kernel on the
-    same columns without copying or re-checking them.
+    `x`, `y` and `weight` are contiguous read-only float64 columns. The
+    constructor copies and checks caller data; `build_field` and
+    `with_kernel` hand over columns that are already read-only and finite
+    through `_of_columns`, which neither copies nor checks them. `impulses`
+    is the same data as a read-only record array, built on each access and
+    not kept, so a field holds its impulses once; its elements expose the
+    column names as attributes.
     """
 
     def __init__(self, kernel: GaborKernelParams, x, y, weight):
@@ -97,12 +107,17 @@ class GaborField:
         self.kernel = kernel
         self.x, self.y, self.weight = x, y, weight
 
+    @classmethod
+    def _of_columns(cls, kernel: GaborKernelParams, x, y, weight) -> "GaborField":
+        """A field on read-only, finite float64 columns, taken as they are."""
+        field = object.__new__(cls)
+        field.kernel = kernel
+        field.x, field.y, field.weight = x, y, weight
+        return field
+
     def with_kernel(self, kernel: GaborKernelParams) -> "GaborField":
         """The same impulses under `kernel`; shares the read-only columns."""
-        field = object.__new__(GaborField)
-        field.kernel = kernel
-        field.x, field.y, field.weight = self.x, self.y, self.weight
-        return field
+        return GaborField._of_columns(kernel, self.x, self.y, self.weight)
 
     @property
     def impulses(self) -> np.recarray:
@@ -166,7 +181,9 @@ def build_field(
     expected count inside the unpadded domain is density * domain_area.
     `pad` overrides the default support radius 3/max(sigma, SIGMA_FLOOR);
     callers that sweep sigma can pass a fixed pad to keep the impulse
-    layout independent of the action.
+    layout independent of the action. The draws are finite by construction
+    (`uniform` refuses a non-finite range), so the field takes them as its
+    read-only columns without a copy or a check.
     """
     x_min, x_max, y_min, y_max = domain
     if not (x_max > x_min and y_max > y_min):
@@ -180,8 +197,12 @@ def build_field(
     count = rng.poisson(density * area)
     xs = rng.uniform(x_min - pad, x_max + pad, size=count)
     ys = rng.uniform(y_min - pad, y_max + pad, size=count)
-    ws = rng.choice([-1.0, 1.0], size=count)
-    return GaborField(kernel, xs, ys, ws)
+    # The bits and the generator state of rng.choice([-1.0, 1.0], size=count),
+    # which draws the same int64 indices, without choice's argument handling.
+    ws = rng.integers(0, 2, size=count) * 2.0 - 1.0
+    for column in (xs, ys, ws):
+        column.flags.writeable = False
+    return GaborField._of_columns(kernel, xs, ys, ws)
 
 
 @functools.lru_cache(maxsize=8)
@@ -195,7 +216,7 @@ def _bus_ordinates(bus_count: int) -> np.ndarray:
 def perturbation_vector(field: GaborField, frame) -> np.ndarray:
     """Per-bus noise values read off the field at (|v_i|, ln(i+1))."""
     frame = np.asarray(frame, dtype=float)
-    if not np.all(np.isfinite(frame)):
+    if not np.isfinite(frame).all():
         raise ValueError("frame contains non-finite values")
     return np.atleast_1d(evaluate_field(field, np.abs(frame), _bus_ordinates(len(frame))))
 

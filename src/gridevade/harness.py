@@ -207,6 +207,9 @@ def _check_values(raw: dict, case: BusCase) -> TraceScenario:
         raise ValueError(
             f"config key 'attack.access_mask' must be null or a list of {buses} bools, "
             f"got {mask!r}")
+    if mask is not None and not any(mask):
+        raise ValueError(
+            f"config key 'attack.access_mask' must allow at least one bus, got {mask!r}")
     tr = raw["training"]
     if tr["batch_size"] > tr["buffer_capacity"]:
         raise ValueError(

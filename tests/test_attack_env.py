@@ -166,6 +166,16 @@ class TestReward:
             assert same_bits(got, 0.25 - np.sum(np.exp(clipped)))
             assert counter == [3 + int(np.sum(clipped != args))]
 
+    def test_clamp_counter_on_clamped_and_unclamped_inputs(self):
+        params = RewardParams(k0=10.0, x_hat=1.0)
+        counter = [2]
+        reward(0.0, np.full(9, 1.01), np.full(9, 0.01), params, clamp_counter=counter)
+        assert counter == [2]
+        x = np.array([1.0, 7.0, 1.0, -5.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        n = np.array([0.0, 0.0, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0, -5.01])
+        reward(0.0, x, n, params, clamp_counter=counter)
+        assert counter == [2 + 4]
+
 
 class TestDiscountedReturn:
     def test_single_reward(self):
@@ -288,6 +298,21 @@ class TestStep:
             clamped, was_clamped = env.clamp_action(a)
             assert same_bits(clamped, want)
             assert was_clamped is bool(np.any(want != a))
+
+    def test_clamp_action_flag_on_clamped_and_unclamped_actions(self, default_scenario,
+                                                                trained_detector):
+        env = make_env(default_scenario, trained_detector)
+        low, high = np.asarray(env.config.action_bounds).T
+        for a in (low, high, 0.5 * (low + high)):
+            clamped, was_clamped = env.clamp_action(a)
+            assert was_clamped is False and same_bits(clamped, a)
+        for i in range(ACTION_DIM):
+            for edge, offset in ((low, -0.25), (high, 0.25)):
+                a = 0.5 * (low + high)
+                a[i] = edge[i] + offset
+                clamped, was_clamped = env.clamp_action(a)
+                assert was_clamped is True
+                assert clamped[i] == edge[i]
 
     def test_state_dimension_constant(self, default_scenario, trained_detector):
         env = make_env(default_scenario, trained_detector)

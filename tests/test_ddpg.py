@@ -228,6 +228,26 @@ class TestAct:
         s = np.array([0.4, 0.0, -0.7])
         assert np.array_equal(act(policy, s), act(agent, s))
 
+    def test_scale_actions_has_the_bits_of_the_unfactored_map(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            low = rng.uniform(-3.0, 1.0, 3)
+            bounds = np.stack([low, low + rng.uniform(0.1, 7.0, 3)], axis=1)
+            policy = Policy(neural.init_mlp([2, 4, 3], ["relu", "tanh"], seed=0), bounds)
+            u = rng.uniform(-1.0, 1.0, (64, 3))
+            u[0] = (-1.0, 1.0, 0.0)
+            want = bounds[:, 0] + (u + 1.0) * 0.5 * (bounds[:, 1] - bounds[:, 0])
+            assert ddpg._scale_actions(policy, u).tobytes() == want.tobytes()
+
+    def test_bounds_are_a_read_only_copy(self):
+        bounds = np.array(BOUNDS)
+        policy = Policy(make_agent(3, BOUNDS, seed=1).actor, bounds)
+        bounds[0, 1] = 99.0
+        assert policy.action_bounds.tolist() == [list(b) for b in BOUNDS]
+        for array in (policy.action_bounds, policy.low, policy.high, policy.half_span):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_policy_output_must_match_bounds(self):
         actor = neural.init_mlp([3, 4, 2], ["relu", "tanh"], seed=0)
         with pytest.raises(ValueError, match="actor output dim"):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from gridevade.detector import (
     save_detector,
     train_detector,
 )
-from gridevade.grid_traces import generate_trace, windows
+from gridevade.grid_traces import generate_trace, split_dataset, windows
 
 
 def zero_weight_model(window=10, bus_count=9):
@@ -91,6 +93,24 @@ class TestTrainDetector:
         m2, l2 = train_detector(windows, cfg, bus_count=2)
         assert l1 == l2
         assert all(np.array_equal(a, b) for a, b in zip(m1.net.weights, m2.net.weights))
+
+    def test_pinned_loss_and_weights(self, default_scenario):
+        """Loss and parameter bits of one small seeded training. Computing the
+        loss in the last epoch only must move neither."""
+        traces = [generate_trace(default_scenario.with_seed(s)) for s in range(4)]
+        cfg = DetectorConfig(hidden=(16, 8), epochs=3, batch_size=32, seed=11)
+        train_set, _ = split_dataset(traces, cfg.window, 0.75, seed=2)
+        model, loss = train_detector(train_set, cfg, bus_count=9)
+        assert loss.hex() == "0x1.5dad0c967dd74p-1"
+        assert hashlib.sha256(model.net.params.tobytes()).hexdigest() == (
+            "47f651bf3335d94f92233c5863dda4feafc9cd3d911251b5241325af567069bf")
+
+    def test_zero_epochs_give_nan_loss_without_warning(self):
+        windows = [(1.0 + 0.01 * i * np.ones((3, 2)), i % 2) for i in range(8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, loss = train_detector(windows, DetectorConfig(window=3, epochs=0), bus_count=2)
+        assert np.isnan(loss)
 
     def test_default_scenario_holdout_accuracy(self, trained_detector, default_scenario):
         holdout = [generate_trace(default_scenario.with_seed(s)) for s in range(100, 105)]

@@ -341,6 +341,39 @@ class TestBuildField:
         assert [(im.x, im.y, im.weight) for im in a.impulses] == \
                [(im.x, im.y, im.weight) for im in b.impulses]
 
+    @pytest.mark.parametrize("density", [0.5, 20.0, DEFAULT_IMPULSE_DENSITY, 170.0])
+    def test_columns_equal_a_reference_draw(self, density):
+        """Same bits as poisson, uniform x, uniform y and choice([-1, 1]) in turn."""
+        for seed in range(25):
+            field = build_field(self.KERNEL, density, NOISE_DOMAIN, seed=seed, pad=LAYOUT_PAD)
+            rng = np.random.default_rng(seed)
+            x_min, x_max, y_min, y_max = NOISE_DOMAIN
+            count = rng.poisson(density * (x_max - x_min + 2 * LAYOUT_PAD)
+                                * (y_max - y_min + 2 * LAYOUT_PAD))
+            want = (rng.uniform(x_min - LAYOUT_PAD, x_max + LAYOUT_PAD, size=count),
+                    rng.uniform(y_min - LAYOUT_PAD, y_max + LAYOUT_PAD, size=count),
+                    rng.choice([-1.0, 1.0], size=count))
+            for got, ref in zip((field.x, field.y, field.weight), want):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_columns_are_read_only_contiguous_float64(self):
+        for seed in range(5):
+            field = build_field(self.KERNEL, 20.0, DOMAIN, seed=seed)
+            for column in (field.x, field.y, field.weight):
+                assert column.dtype == np.float64
+                assert column.flags.c_contiguous and not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 0.0
+
+    def test_constructor_copy_evaluates_to_the_same_bits(self):
+        frame = np.linspace(0.9, 1.1, 9)
+        for seed in range(5):
+            field = build_field(self.KERNEL, 20.0, DOMAIN, seed=seed)
+            copy = GaborField(field.kernel, field.x, field.y, field.weight)
+            assert copy.x is not field.x
+            assert (perturbation_vector(copy, frame).tobytes()
+                    == perturbation_vector(field, frame).tobytes())
+
     def test_degenerate_domain_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             build_field(self.KERNEL, 10.0, (0.0, 0.0, 0.0, 1.0), seed=0)

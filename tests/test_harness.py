@@ -167,6 +167,8 @@ class TestConfig:
          "got [True, False, True]"),
         ("attack: {access_mask: [1, 1, 1, 1, 1, 1, 1, 1, 1]}",
          "config key 'attack.access_mask' must be null or a list of 9 bools, got [1, 1,"),
+        ("attack: {access_mask: [false, false, false, false, false, false, false, false, false]}",
+         "config key 'attack.access_mask' must allow at least one bus, got [False, False,"),
         ("attack: {impulse_density: abc}",
          "config key 'attack.impulse_density' must be null or a number > 0, got 'abc'"),
         ("attack: {impulse_density: 0}",
