@@ -94,7 +94,13 @@ def train_detector(train_set, config: DetectorConfig, bus_count: int):
     """
     if not train_set:
         raise ValueError("empty training set")
-    X = featurize_window(np.stack([w for w, _ in train_set]))
+    # featurize_window's arithmetic, in place on the fresh stack: one
+    # (n, window, bus) block instead of two. Whether a second one got fresh
+    # pages depended on the heap's history, so a call's cost varied by run.
+    X = np.stack([w for w, _ in train_set]).astype(float, copy=False)
+    X -= NORM_CENTER
+    X /= NORM_SCALE
+    X = X.reshape(len(X), -1)
     y = np.array([lbl for _, lbl in train_set], dtype=float)
     if len(np.unique(y)) < 2:
         raise ValueError("training set contains a single class; need both labels")

@@ -96,7 +96,8 @@ class TestTrainDetector:
 
     def test_pinned_loss_and_weights(self, default_scenario):
         """Loss and parameter bits of one small seeded training. Computing the
-        loss in the last epoch only must move neither."""
+        loss in the last epoch only, or normalising the stacked windows in
+        place, must move neither."""
         traces = [generate_trace(default_scenario.with_seed(s)) for s in range(4)]
         cfg = DetectorConfig(hidden=(16, 8), epochs=3, batch_size=32, seed=11)
         train_set, _ = split_dataset(traces, cfg.window, 0.75, seed=2)
@@ -104,6 +105,13 @@ class TestTrainDetector:
         assert loss.hex() == "0x1.5dad0c967dd74p-1"
         assert hashlib.sha256(model.net.params.tobytes()).hexdigest() == (
             "47f651bf3335d94f92233c5863dda4feafc9cd3d911251b5241325af567069bf")
+
+    def test_training_does_not_write_its_windows(self, default_scenario):
+        trace = generate_trace(default_scenario)
+        before = trace.frames.copy()
+        train_set, _ = split_dataset([trace, trace], 10, 0.5, seed=0)
+        train_detector(train_set, DetectorConfig(hidden=(4,), epochs=1), bus_count=9)
+        assert np.array_equal(trace.frames, before)
 
     def test_zero_epochs_give_nan_loss_without_warning(self):
         windows = [(1.0 + 0.01 * i * np.ones((3, 2)), i % 2) for i in range(8)]
