@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,7 +80,6 @@ class RewardParams:
     lam: float = 0.95         # discount factor of the return
     horizon_frames: int | None = None  # None = full trace
     penalty_abs: bool = False          # apply |.| inside both exponents
-    use_compromised_x: bool = False    # penalty on compromised instead of clean x
 
     def __post_init__(self):
         if not math.isfinite(self.k0):
@@ -101,7 +101,7 @@ class AttackConfig:
     impulse_density: float = DEFAULT_IMPULSE_DENSITY
     field_seed_policy: str = "per-episode"  # fixed | per-episode | per-step
     field_seed: int = 0                      # used by the fixed policy
-    kernel_magnitude: float = 1.0
+    kernel_magnitude: ClassVar[float] = 1.0  # the Gabor kernel's K; not a setting
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -139,10 +139,6 @@ class AgentState:
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.x, self.n, [self.c]])
-
-    @property
-    def dim(self) -> int:
-        return 2 * len(self.x) + 1
 
 
 @dataclass
@@ -326,9 +322,8 @@ class AttackEnv:
         p_attacked = self._attacked_posterior(t)
         label = int(rec["label"][row])
         c_next = misdirection(label, p_attacked)
-        rp = self.config.reward_params
-        x_pen = self._compromised[t] if rp.use_compromised_x else clean_frame
-        r = reward(c_next, x_pen, n, rp, clamp_counter=self._clamp_counter)
+        r = reward(c_next, clean_frame, n, self.config.reward_params,
+                   clamp_counter=self._clamp_counter)
         self.exp_clamp_count = self._clamp_counter[0]
 
         rec["reward"][row] = r
@@ -357,7 +352,3 @@ class AttackEnv:
         rec["max_abs_n"] = np.max(np.abs(rec["perturbations"]), axis=1)
         rec["compromised_frames"] = self._compromised[rec["frame"]]
         return rec
-
-    @property
-    def state_dim(self) -> int:
-        return 2 * self.bus_count + 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .attack_env import AgentState, discounted_return
+from .attack_env import discounted_return
 
 __all__ = [
     "ReplayBuffer",
@@ -154,10 +154,10 @@ def _scale_actions(policy: Policy, u: np.ndarray) -> np.ndarray:
 
 def act(policy: Policy, state, noise_rng: np.random.Generator | None = None,
         sigma: float = 0.0) -> np.ndarray:
-    """The policy's action; with `noise_rng`, plus Gaussian noise of `sigma`
-    half-spans of the bounds per dimension. Clamped to the bounds."""
-    s = state.flatten() if isinstance(state, AgentState) else state
-    s = np.asarray(s, dtype=float).ravel()  # a view of an already-flat vector
+    """The policy's action for the flat state vector `state`; with `noise_rng`,
+    plus Gaussian noise of `sigma` half-spans of the bounds per dimension.
+    Clamped to the bounds."""
+    s = np.asarray(state, dtype=float).ravel()  # a view of an already-flat vector
     u = neural.forward(policy.actor, s)
     a = _scale_actions(policy, u)
     if noise_rng is not None:

@@ -115,10 +115,6 @@ class MeasurementTrace:
         return len(self.times)
 
     @property
-    def bus_count(self) -> int:
-        return self.frames.shape[1]
-
-    @property
     def fault_start_time(self) -> float | None:
         """Time of the first contingency-labeled frame, or None if clean."""
         idx = np.flatnonzero(self.labels == 1)

@@ -200,6 +200,19 @@ def _check_values(raw: dict, case: BusCase) -> TraceScenario:
         raise ValueError(
             f"config key 'detector.window' must be from 1 to {scenario.n_frames - 1}, one less "
             f"than the frames of a trace; got {dc['window']}")
+    # generate_trace labels frames by times >= fault_start, and a detector
+    # window by its last frame; training needs windows of both labels.
+    times = np.arange(scenario.n_frames) * scenario.dt
+    first, last = times[dc["window"] - 1], times[-1]
+    if not first < scenario.fault_start <= last:
+        raise ValueError(
+            f"config key 'scenario.fault_start' ({sc['fault_start']}) must lie after the first "
+            f"detector window ({first:g} s) and at or before the last frame ({last:g} s), so "
+            f"that windows of both labels exist")
+    if int(round(dc["split_ratio"] * dc["train_traces"])) == 0:  # split_dataset's count
+        raise ValueError(
+            f"config keys 'detector.split_ratio' * 'detector.train_traces' ({dc['split_ratio']} "
+            f"* {dc['train_traces']}) must round to at least one training trace")
     ac = raw["attack"]
     mask, buses = ac["access_mask"], case.bus_count
     if mask is not None and not (type(mask) is list and len(mask) == buses
@@ -402,14 +415,9 @@ def _validation_drop(cfg: RunConfig, model: det.DetectorModel,
                      policy: ddpg.Policy, episodes: int = 3) -> float:
     """Mean post-fault posterior drop on held-back validation seeds."""
     seeds = derive_seeds(cfg.master_seed, _SEED_VALIDATE, episodes)
-    drops = []
-    for seed in seeds:
-        run = run_attack_episode(_make_env(cfg, model, seed), trained_policy(policy))
-        post = run["label"] == 1
-        if post.any():
-            drops.append(np.mean(run["clean_posterior"][post]
-                                 - run["attacked_posterior"][post]))
-    return float(np.mean(drops)) if drops else 0.0
+    runs = [run_attack_episode(_make_env(cfg, model, seed), trained_policy(policy))
+            for seed in seeds]
+    return compute_attack_metrics(runs, model.threshold).mean_posterior_drop
 
 
 def cmd_train_attacker(cfg: RunConfig, out_dir):
@@ -454,8 +462,6 @@ def cmd_train_attacker(cfg: RunConfig, out_dir):
     critic_path = out / "critic.json"
     meta = {
         "action_bounds": np.asarray(cfg.attack_config.action_bounds).tolist(),
-        "gamma": cfg.agent_gamma,
-        "tau": cfg.agent_tau,
         "seed": cfg.master_seed,
         "episodes": cfg.train_episodes,
         "restarts": cfg.train_restarts,
@@ -492,11 +498,12 @@ def trained_policy(policy: ddpg.Policy):
 
 
 def run_attack_episode(env: AttackEnv, policy) -> dict:
-    """Roll one episode of `policy` and return the env's episode record."""
+    """Roll one episode of `policy`, called on each flattened state, and
+    return the env's episode record."""
     state = env.reset()
     done = False
     while not done:
-        outcome = env.step(policy(state))
+        outcome = env.step(policy(state.flatten()))
         state, done = outcome.next_state, outcome.done
     return env.record()
 

@@ -68,7 +68,6 @@ class TestAgentState:
     def test_flatten_dimension(self):
         s = AgentState(x=np.ones(9), n=np.zeros(9), c=0.3)
         assert s.flatten().shape == (19,)
-        assert s.dim == 19
 
     def test_c_range_enforced(self):
         with pytest.raises(ValueError, match="c"):
@@ -316,12 +315,11 @@ class TestStep:
 
     def test_state_dimension_constant(self, default_scenario, trained_detector):
         env = make_env(default_scenario, trained_detector)
-        s = env.reset()
-        dim = s.dim
+        dim = env.reset().flatten().size
         done = False
         while not done:
             out = env.step(self.ACTION)
-            assert out.next_state.dim == dim
+            assert out.next_state.flatten().size == dim
             done = out.done
 
     def test_determinism_across_runs(self, default_scenario, trained_detector):

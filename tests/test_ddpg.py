@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gridevade import ddpg, neural
-from gridevade.attack_env import AgentState
 from gridevade.ddpg import (
     DdpgAgent,
     Policy,
@@ -216,11 +215,6 @@ class TestAct:
         agent = make_agent(3, BOUNDS, seed=2)
         s = np.array([0.1, -0.2, 0.3])
         assert np.array_equal(act(agent, s), act(agent, s))
-
-    def test_accepts_agent_state(self):
-        agent = make_agent(19, BOUNDS, seed=3)
-        s = AgentState(x=np.ones(9), n=np.zeros(9), c=0.5)
-        assert act(agent, s).shape == (3,)
 
     def test_policy_acts_like_its_agent(self):
         agent = make_agent(3, BOUNDS, seed=5)

@@ -2,15 +2,18 @@ import csv
 import json
 import re
 import shutil
+from dataclasses import fields, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from gridevade import ddpg, harness, neural
+from gridevade import ddpg, detector as det, harness, neural
+from gridevade.attack_env import AttackConfig, RewardParams
 from gridevade.cli import main
-from gridevade.grid_traces import generate_trace
+from gridevade.grid_traces import TraceScenario, generate_trace, split_dataset
 from gridevade.harness import (
     AttackMetrics,
     cmd_report,
@@ -22,6 +25,9 @@ from gridevade.harness import (
 )
 
 
+FAULT_REFUSAL = ("config key 'scenario.fault_start' ({got}) must lie after the first detector "
+                 "window ({first} s) and at or before the last frame (9.9 s), so that windows "
+                 "of both labels exist")
 HORIZON_REFUSAL = ("config key 'attack.reward.horizon_frames' must be null or an int from 1 "
                    "to {steps}, the frames a trace has after its first detector window; "
                    "got {got}")
@@ -212,6 +218,12 @@ class TestConfig:
          "config key 'detector.split_ratio' must lie in (0, 1), got 1.0"),
         ("detector: {split_ratio: -0.5}",
          "config key 'detector.split_ratio' must lie in (0, 1), got -0.5"),
+        ("detector: {train_traces: 2, split_ratio: 0.2}",
+         "config keys 'detector.split_ratio' * 'detector.train_traces' (0.2 * 2) must round to "
+         "at least one training trace"),
+        ("detector: {train_traces: 1, split_ratio: 0.5}",
+         "config keys 'detector.split_ratio' * 'detector.train_traces' (0.5 * 1) must round to "
+         "at least one training trace"),
     ])
     def test_bad_detector_value_names_its_path(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -279,6 +291,10 @@ class TestConfig:
         ("scenario: {horizon: 0.5}",
          "config key 'scenario.fault_start' (5.4) must be less than 'scenario.horizon' (0.5)"),
         ("scenario: {fault_start: -1}", "config key 'scenario.fault_start' must be >= 0, got -1.0"),
+        ("scenario: {fault_start: 0.85}", FAULT_REFUSAL.format(got=0.85, first=0.9)),
+        ("scenario: {fault_start: 9.95}", FAULT_REFUSAL.format(got=9.95, first=0.9)),
+        ("{scenario: {fault_start: 0}, detector: {window: 1}}",
+         FAULT_REFUSAL.format(got=0.0, first=0)),
         ("scenario: {fault_bus: 12}",
          "config key 'scenario.fault_bus' (12) must be less than the case's bus count (9)"),
         ("scenario: {fault_bus: -1}", "config key 'scenario.fault_bus' must be >= 0, got -1"),
@@ -296,10 +312,44 @@ class TestConfig:
 
     def test_scenario_value_limits_are_accepted(self, tmp_path):
         cfg = self.load_text(
-            tmp_path, "{scenario: {fault_start: 0, fault_bus: 8, fault_depth: 0, fault_freq: 0, "
-                      "fault_damping: 0, sensor_noise_std: 0}, detector: {window: 1}}\n")
-        assert cfg.scenario.fault_start == cfg.scenario.fault_damping == 0.0
+            tmp_path, "{scenario: {fault_start: 1.0e-9, fault_bus: 8, fault_depth: 0, "
+                      "fault_freq: 0, fault_damping: 0, sensor_noise_std: 0}, "
+                      "detector: {window: 1}}\n")
+        assert cfg.scenario.fault_start == 1e-9
+        assert cfg.scenario.fault_damping == 0.0
         assert cfg.scenario.fault_bus == 8
+
+    @pytest.mark.parametrize("fault_start", [0.85, 0.9, 0.95, 5.4, 9.85, 9.9, 9.95])
+    def test_fault_start_is_refused_when_one_label_has_no_window(self, tmp_path,
+                                                                 fault_start):
+        """load_config refuses a fault start exactly when split_dataset's windows
+        of a generated trace would all carry one label."""
+        cfg = load_config()
+        trace = generate_trace(replace(cfg.scenario, fault_start=fault_start))
+        train, _ = split_dataset([trace, trace], cfg.detector_config.window, 0.5)
+        one_label = len({label for _, label in train}) < 2
+        text = f"scenario: {{fault_start: {fault_start}}}\n"
+        if one_label:
+            with pytest.raises(ValueError, match="config key 'scenario.fault_start'"):
+                self.load_text(tmp_path, text)
+        else:
+            assert self.load_text(tmp_path, text).scenario.fault_start == fault_start
+        assert one_label == (fault_start not in (0.95, 5.4, 9.85, 9.9))
+
+    @pytest.mark.parametrize("traces, ratio", [(1, 0.5), (1, 0.51), (2, 0.2), (2, 0.25),
+                                               (2, 0.3), (3, 0.1), (12, 0.04), (12, 0.05)])
+    def test_split_is_refused_when_it_leaves_no_training_trace(self, tmp_path, traces, ratio):
+        """load_config refuses a split exactly when split_dataset's training set
+        would be empty."""
+        cfg = load_config()
+        trace = generate_trace(cfg.scenario)
+        train, _ = split_dataset([trace] * traces, cfg.detector_config.window, ratio)
+        text = f"detector: {{train_traces: {traces}, split_ratio: {ratio}}}\n"
+        if not train:
+            with pytest.raises(ValueError, match="must round to at least one training trace"):
+                self.load_text(tmp_path, text)
+        else:
+            assert self.load_text(tmp_path, text).detector_train_traces == traces
 
     def test_attack_value_limits_are_accepted(self, tmp_path):
         cfg = self.load_text(
@@ -325,12 +375,19 @@ class TestConfig:
         assert cfg.detector_config.hidden == (1,)
         assert cfg.detector_split_ratio == 0.999
 
-    def test_bad_detector_value_fails_via_cli_before_training(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("detector: {epochs: 0}", "error: config key 'detector.epochs' must be >= 1"),
+        ("detector: {train_traces: 2, split_ratio: 0.2}",
+         "error: config keys 'detector.split_ratio' * 'detector.train_traces' (0.2 * 2)"),
+        ("scenario: {fault_start: 9.95}", "error: config key 'scenario.fault_start' (9.95)"),
+    ])
+    def test_bad_detector_value_fails_via_cli_before_training(self, tmp_path, capsys, text,
+                                                              message):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("detector: {epochs: 0}\n")
+        bad.write_text(text + "\n")
         rc = main(["train-detector", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "error: config key 'detector.epochs' must be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_null_default_key_values_are_accepted(self, tmp_path):
@@ -367,11 +424,11 @@ class TestConfig:
         rule of several keys in `_check_values`, or takes any value of its type;
         the README names each `_RULES` key."""
         several = {"scenario.dt", "scenario.horizon", "scenario.fault_start",
-                   "scenario.fault_bus", "detector.window", "attack.access_mask",
+                   "scenario.fault_bus", "detector.window", "detector.train_traces",
+                   "detector.split_ratio", "attack.access_mask",
                    "attack.reward.horizon_frames", "training.episodes", "training.batch_size",
                    "training.buffer_capacity", "training.warmup"}
-        any_value = {"attack.reward.k0", "attack.reward.penalty_abs",
-                     "attack.reward.use_compromised_x"}
+        any_value = {"attack.reward.k0", "attack.reward.penalty_abs"}
         def dotted_leaves(section, prefix=""):
             for key, value in section.items():
                 if isinstance(value, dict):
@@ -386,6 +443,24 @@ class TestConfig:
         assert sorted(leaves - ruled - several - any_value) == []
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         assert sorted(key for key in ruled if f"`{key}`" not in readme) == []
+
+    def test_every_init_field_is_set_from_a_shipped_key(self):
+        """A settable field of a config dataclass is a shipped YAML key of its
+        section, or one of the values load_config derives; no knob lives
+        outside the YAML."""
+        shipped = yaml.safe_load(harness._default_config_path().read_text())
+        derived = {"seed", "case", "reward_params"}
+        for cls, section in ((AttackConfig, "attack"), (RewardParams, "attack.reward"),
+                             (det.DetectorConfig, "detector"), (ddpg.TrainConfig, "training"),
+                             (TraceScenario, "scenario")):
+            keys = reduce(dict.__getitem__, section.split("."), shipped)
+            names = {"lambda" if f.name == "lam" else f.name for f in fields(cls) if f.init}
+            assert sorted(names - derived - set(keys)) == [], cls.__name__
+
+    def test_kernel_magnitude_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="kernel_magnitude"):
+            AttackConfig(kernel_magnitude=2.0)
+        assert AttackConfig().kernel_magnitude == 1.0
 
     def test_unknown_key_fails_via_cli(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -647,6 +722,29 @@ class TestEvaluateBaseline:
         for run in runs:
             assert np.array_equal(run["frame"], runs[0]["frame"])
             assert {k: (v.dtype, v.shape) for k, v in run.items()} == schema
+
+
+class TestRunAttackEpisode:
+    def test_policy_is_called_on_each_flattened_state(self, trained_detector):
+        cfg = load_config()
+        action = np.array([0.5, 1.0, 0.5])
+        want = []
+        env = harness._make_env(cfg, trained_detector, seed=3)
+        state, done = env.reset(), False
+        while not done:
+            want.append(state.flatten())
+            out = env.step(action)
+            state, done = out.next_state, out.done
+        seen = []
+
+        def policy(state):
+            seen.append(state)
+            return action
+
+        harness.run_attack_episode(harness._make_env(cfg, trained_detector, seed=3), policy)
+        assert len(seen) == len(want) == 90
+        for got, expected in zip(seen, want):
+            assert type(got) is np.ndarray and got.tobytes() == expected.tobytes()
 
 
 class TestMissingArtifacts:
