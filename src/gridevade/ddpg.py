@@ -109,22 +109,17 @@ class DdpgAgent(Policy):
     target_critic: neural.Mlp
     actor_opt: neural.AdamState
     critic_opt: neural.AdamState
-    gamma: float = 0.95
-    tau: float = 0.005
+    gamma: float
+    tau: float
 
     def __post_init__(self):
         super().__post_init__()
-        if not (0 < self.gamma <= 1):
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not (0 < self.tau <= 1):
-            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
         if self.critic.layer_sizes[0] != self.actor.layer_sizes[0] + self.action_bounds.shape[0]:
             raise ValueError("critic input dim must be state dim + action dim")
 
 
-def make_agent(state_dim: int, action_bounds, seed: int = 0, hidden=(64, 64),
-               gamma: float = 0.95, tau: float = 0.005,
-               actor_lr: float = 1e-4, critic_lr: float = 1e-3) -> DdpgAgent:
+def make_agent(state_dim: int, action_bounds, seed: int = 0, *, hidden, gamma: float,
+               tau: float, actor_lr: float, critic_lr: float) -> DdpgAgent:
     bounds = np.asarray(action_bounds, dtype=float)
     action_dim = bounds.shape[0]
     ss = np.random.SeedSequence(seed)
@@ -215,11 +210,13 @@ def train_step(agent: DdpgAgent, buffer: ReplayBuffer, batch_size: int):
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
-    buffer_capacity: int = 50_000
-    warmup: int = 256            # transitions before updates start
-    sigma_start: float = 0.2
-    sigma_end: float = 0.02
+    """The `training` section of a run config, less `episodes` and `restarts`."""
+
+    batch_size: int
+    buffer_capacity: int
+    warmup: int          # transitions before updates start
+    sigma_start: float
+    sigma_end: float
     seed: int = 0
 
 

@@ -34,12 +34,14 @@ NORM_SCALE = 0.1   # pu
 
 @dataclass
 class DetectorConfig:
-    window: int = 10
-    hidden: tuple = (64, 32)
-    threshold: float = 0.5
-    epochs: int = 60
-    batch_size: int = 64
-    learning_rate: float = 1e-3
+    """The `detector` section of a run config, less the trace split."""
+
+    window: int
+    hidden: tuple
+    threshold: float
+    epochs: int
+    batch_size: int
+    learning_rate: float
     seed: int = 0
 
 

@@ -61,33 +61,15 @@ class TraceScenario:
     """Everything needed to generate one measurement trace."""
 
     case: BusCase
-    dt: float = 0.1
-    horizon: float = 10.0
-    fault_start: float = 5.4
-    fault_bus: int = 4
-    fault_depth: float = 0.2
-    fault_freq: float = 1.5
-    fault_damping: float = 1.0
-    sensor_noise_std: float = 0.002
+    dt: float
+    horizon: float
+    fault_start: float
+    fault_bus: int
+    fault_depth: float
+    fault_freq: float
+    fault_damping: float
+    sensor_noise_std: float
     seed: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.dt < self.horizon):
-            raise ValueError(f"dt must satisfy 0 < dt < horizon, got dt={self.dt}")
-        if not (0 <= self.fault_start < self.horizon):
-            raise ValueError(
-                f"fault_start must lie in [0, horizon), got fault_start={self.fault_start}"
-            )
-        if not (0 <= self.fault_bus < self.case.bus_count):
-            raise ValueError(
-                f"fault_bus {self.fault_bus} out of range for {self.case.bus_count} buses"
-            )
-        if self.fault_depth < 0:
-            raise ValueError(f"fault_depth must be >= 0, got {self.fault_depth}")
-        if self.sensor_noise_std < 0:
-            raise ValueError(
-                f"sensor_noise_std must be >= 0, got {self.sensor_noise_std}"
-            )
 
     def with_seed(self, seed: int) -> "TraceScenario":
         return replace(self, seed=seed)

@@ -1,31 +1,30 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridevade import detector as det
-from gridevade.grid_traces import BusCase, TraceScenario, generate_trace, split_dataset
+from gridevade.grid_traces import generate_trace, split_dataset
+from gridevade.harness import RunConfig, load_config
+
+
+def shipped() -> RunConfig:
+    """The shipped config's objects, fresh on each call. Tests vary them with
+    `dataclasses.replace`, so every value a test does not name is the YAML's."""
+    return load_config()
 
 
 @pytest.fixture(scope="session")
-def nine_bus_case():
-    return BusCase(
-        bus_count=9,
-        nominal_voltage=np.array([1.04, 1.025, 1.025, 1.026, 0.996, 1.013,
-                                  1.026, 1.016, 1.032]),
-        fault_coupling=np.array([0.35, 0.45, 0.40, 0.60, 1.00, 0.75,
-                                 0.50, 0.65, 0.45]),
-    )
-
-
-@pytest.fixture(scope="session")
-def default_scenario(nine_bus_case):
-    return TraceScenario(case=nine_bus_case)
+def default_scenario():
+    """The shipped scenario, on the shipped 9-bus case, at trace seed 0."""
+    return replace(shipped().scenario, seed=0)
 
 
 @pytest.fixture(scope="session")
 def trained_detector(default_scenario):
     """A detector trained once per session on the default scenario family."""
     traces = [generate_trace(default_scenario.with_seed(s)) for s in range(12)]
-    config = det.DetectorConfig(epochs=40, seed=0)
+    config = replace(shipped().detector_config, epochs=40, seed=0)
     train_set, _ = split_dataset(traces, config.window, 0.75, seed=1)
     model, _ = det.train_detector(train_set, config, bus_count=9)
     return model

@@ -8,12 +8,13 @@ helper so the -s output doubles as a checklist.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridevade import ddpg, detector as det, harness, neural
-from gridevade.attack_env import AttackConfig, AttackEnv, RewardParams, reward
+from gridevade.attack_env import RewardParams, reward
 from gridevade.gabor import (
     GaborKernelParams,
     build_field,
@@ -21,6 +22,8 @@ from gridevade.gabor import (
     gabor_kernel,
 )
 from gridevade.grid_traces import generate_trace
+
+from conftest import shipped
 
 pytestmark = pytest.mark.acceptance
 
@@ -127,20 +130,24 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_reward_oracle(self):
-        params = RewardParams(k0=10.0, x_hat=1.0)
-        rng = np.random.default_rng(1)
+        """The literal reward formula, both as written without |.| and as
+        shipped, with |x - x_hat| and |n| inside the exponents."""
         ok = True
-        for _ in range(1000):
-            c = float(rng.uniform(0, 1))
-            x = rng.uniform(0.8, 1.2, 9)
-            n = rng.uniform(-0.01, 0.01, 9)
-            want = (c - sum(math.exp(10.0 * (xi - 1.0)) for xi in x)
-                    - sum(math.exp(10.0 * ni) for ni in n))
-            got = reward(c, x, n, params)
-            if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15):
-                ok = False
-        exact = reward(0.0, np.ones(9), np.zeros(9), params) == -18.0
-        criterion(6, "reward oracle", ok and exact)
+        for params, fold in ((RewardParams(k0=10.0, x_hat=1.0, penalty_abs=False), float),
+                             (shipped().attack_config.reward_params, abs)):
+            k0, x_hat = params.k0, params.x_hat
+            rng = np.random.default_rng(1)
+            for _ in range(1000):
+                c = float(rng.uniform(0, 1))
+                x = rng.uniform(0.8, 1.2, 9)
+                n = rng.uniform(-0.01, 0.01, 9)
+                want = (c - sum(math.exp(k0 * fold(xi - x_hat)) for xi in x)
+                        - sum(math.exp(k0 * fold(ni)) for ni in n))
+                got = reward(c, x, n, params)
+                if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15):
+                    ok = False
+            ok &= reward(0.0, np.full(9, x_hat), np.zeros(9), params) == -18.0
+        criterion(6, "reward oracle", ok)
 
 
 class TestCriterion7:
@@ -185,8 +192,8 @@ class TestCriterion8:
         bests = []
         for seed in range(5):
             agent = toy_agent(seed)
-            conf = ddpg.TrainConfig(batch_size=32, warmup=64, sigma_start=0.4,
-                                    sigma_end=0.05, seed=seed)
+            conf = replace(shipped().train_config, batch_size=32, warmup=64,
+                           sigma_start=0.4, sigma_end=0.05, seed=seed)
             _, curve = ddpg.train(agent, lambda ep, s: ToyEnv(), 200, conf)
             bests.append(max(r["return"] for r in curve))
         # optimum is 0; tolerance is 5% of the unit per-step reward scale

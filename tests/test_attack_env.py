@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gridevade.attack_env import (
     LAYOUT_PAD,
     NOISE_DOMAIN,
     AgentState,
-    AttackConfig,
     AttackEnv,
     EpisodeDone,
     RewardParams,
@@ -22,9 +22,26 @@ from gridevade.attack_env import (
 )
 from gridevade.grid_traces import windows
 
+from conftest import shipped
+
+
+def reward_params(**kw):
+    """The shipped reward, less its |.|, with `kw` laid over it."""
+    return replace(shipped().attack_config.reward_params, **{"penalty_abs": False, **kw})
+
 
 def make_env(scenario, model, seed=0, **cfg_kw):
-    return AttackEnv(scenario, model, AttackConfig(**cfg_kw), seed=seed)
+    """An env of the shipped attack config, but with per-episode field seeds
+    from field seed 0, omega0 up to pi(1 - 1e-9) and the reward less its
+    |.|; `cfg_kw` is laid over that."""
+    config = shipped().attack_config
+    config = replace(config, **{
+        "action_bounds": (*config.action_bounds[:2], (0.0, math.pi * (1.0 - 1e-9))),
+        "reward_params": reward_params(),
+        "field_seed_policy": "per-episode",
+        "field_seed": 0,
+        **cfg_kw})
+    return AttackEnv(scenario, model, config, seed=seed)
 
 
 def same_bits(a, b):
@@ -36,32 +53,6 @@ def eq6_oracle(c, x, n, k0, x_hat):
     return (c
             - sum(math.exp(k0 * (xi - x_hat)) for xi in x)
             - sum(math.exp(k0 * ni) for ni in n))
-
-
-class TestConfigValidation:
-    def test_epsilon_positive(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            AttackConfig(epsilon=0.0)
-
-    def test_mask_needs_one_bus(self):
-        with pytest.raises(ValueError, match="access_mask"):
-            AttackConfig(access_mask=np.zeros(9, dtype=bool))
-
-    def test_bounds_ordering(self):
-        with pytest.raises(ValueError, match="low < high"):
-            AttackConfig(action_bounds=((1.0, 0.5), (0.05, 5.0), (0.0, 3.0)))
-
-    def test_omega_bounds_inside_half_circle(self):
-        with pytest.raises(ValueError, match="omega0"):
-            AttackConfig(action_bounds=((0.05, 2.0), (0.05, 5.0), (0.0, 3.5)))
-
-    def test_reward_params_validation(self):
-        with pytest.raises(ValueError, match="lam"):
-            RewardParams(lam=0.0)
-        with pytest.raises(ValueError, match="x_hat"):
-            RewardParams(x_hat=0.0)
-        with pytest.raises(ValueError, match="horizon_frames"):
-            RewardParams(horizon_frames=0)
 
 
 class TestAgentState:
@@ -107,16 +98,16 @@ class TestMisdirection:
 
 class TestReward:
     def test_nominal_nine_bus_is_minus_eighteen(self):
-        params = RewardParams(k0=10.0, x_hat=1.0)
+        params = RewardParams(k0=10.0, x_hat=1.0, penalty_abs=False)
         r = reward(0.0, np.ones(9), np.zeros(9), params)
         assert r == -18.0
 
     def test_additivity_in_c(self):
-        params = RewardParams(k0=10.0, x_hat=1.0)
+        params = RewardParams(k0=10.0, x_hat=1.0, penalty_abs=False)
         assert reward(1.0, np.ones(9), np.zeros(9), params) == -17.0
 
     def test_zero_k0_counts_buses(self):
-        params = RewardParams(k0=0.0, x_hat=1.0)
+        params = RewardParams(k0=0.0, x_hat=1.0, penalty_abs=False)
         rng = np.random.default_rng(0)
         x = rng.uniform(0.9, 1.1, 9)
         n = rng.uniform(-0.01, 0.01, 9)
@@ -124,7 +115,7 @@ class TestReward:
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(1)
-        params = RewardParams(k0=10.0, x_hat=1.0)
+        params = RewardParams(k0=10.0, x_hat=1.0, penalty_abs=False)
         for _ in range(1000):
             c = rng.uniform(0, 1)
             x = rng.uniform(0.8, 1.2, 9)
@@ -140,7 +131,7 @@ class TestReward:
         assert reward(0.2, x, n, params) == pytest.approx(want, rel=1e-12)
 
     def test_overflow_clamped_and_counted(self):
-        params = RewardParams(k0=10.0, x_hat=1.0)
+        params = RewardParams(k0=10.0, x_hat=1.0, penalty_abs=False)
         counter = [0]
         r = reward(0.0, np.array([100.0]), np.array([0.0]), params, clamp_counter=counter)
         assert counter[0] == 1
@@ -148,7 +139,7 @@ class TestReward:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            reward(0.0, np.ones(3), np.ones(2), RewardParams())
+            reward(0.0, np.ones(3), np.ones(2), reward_params())
 
     @pytest.mark.parametrize("penalty_abs", [False, True])
     def test_clamp_and_counter_match_np_clip(self, clamp_inputs, penalty_abs):
@@ -166,7 +157,7 @@ class TestReward:
             assert counter == [3 + int(np.sum(clipped != args))]
 
     def test_clamp_counter_on_clamped_and_unclamped_inputs(self):
-        params = RewardParams(k0=10.0, x_hat=1.0)
+        params = RewardParams(k0=10.0, x_hat=1.0, penalty_abs=False)
         counter = [2]
         reward(0.0, np.full(9, 1.01), np.full(9, 0.01), params, clamp_counter=counter)
         assert counter == [2]
@@ -263,12 +254,12 @@ class TestStep:
     def test_horizon_past_the_trace_raises(self, default_scenario, trained_detector):
         steps = default_scenario.n_frames - trained_detector.window
         env = make_env(default_scenario, trained_detector,
-                       reward_params=RewardParams(horizon_frames=steps))
+                       reward_params=reward_params(horizon_frames=steps))
         assert env.t_f == steps
         with pytest.raises(ValueError,
                            match=f"horizon_frames {steps + 1} exceeds the {steps} steps"):
             make_env(default_scenario, trained_detector,
-                     reward_params=RewardParams(horizon_frames=steps + 1))
+                     reward_params=reward_params(horizon_frames=steps + 1))
 
     def test_step_after_done_raises(self, default_scenario, trained_detector):
         env = make_env(default_scenario, trained_detector)
@@ -387,7 +378,7 @@ class TestFieldLayout:
         """Step the envs in turn, each with its own random actions; yield
         (env, episode, row, outcome) per step."""
         envs = [make_env(scenario, model, seed=s, epsilon=1e3, field_seed_policy=policy,
-                         field_seed=7, reward_params=RewardParams(horizon_frames=self.STEPS))
+                         field_seed=7, reward_params=reward_params(horizon_frames=self.STEPS))
                 for s in env_seeds]
         rng = np.random.default_rng(11)
         for episode in range(self.EPISODES):
@@ -432,7 +423,7 @@ class TestFieldLayout:
         monkeypatch.setattr(np.random, "SeedSequence", counted_sequence)
         env = make_env(default_scenario, trained_detector, seed=4,
                        field_seed_policy="per-episode",
-                       reward_params=RewardParams(horizon_frames=self.STEPS))
+                       reward_params=reward_params(horizon_frames=self.STEPS))
         for episode in range(self.EPISODES):
             env.reset()
             seeds.clear()

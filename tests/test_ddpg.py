@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,14 @@ from gridevade.ddpg import (
     DdpgAgent,
     Policy,
     ReplayBuffer,
-    TrainConfig,
     act,
     make_agent,
     soft_update,
     train,
     train_step,
 )
+
+from conftest import shipped
 
 BOUNDS = ((0.05, 2.0), (0.05, 5.0), (0.0, 3.1))
 
@@ -59,6 +62,19 @@ def weight_grad(net, grad, k):
     """Layer k's weight gradient, read from `grad` through net.layout."""
     w, shape, _ = net.layout[k]
     return grad[w].reshape(shape)
+
+
+def new_agent(state_dim, action_bounds, seed, **kw):
+    """make_agent under the shipped `agent` section, with `kw` laid over it."""
+    cfg = shipped()
+    return make_agent(state_dim, action_bounds, seed=seed, **{
+        "hidden": cfg.agent_hidden, "gamma": cfg.agent_gamma, "tau": cfg.agent_tau,
+        "actor_lr": cfg.actor_lr, "critic_lr": cfg.critic_lr, **kw})
+
+
+def train_config(**kw):
+    """The shipped training config, but exploring from sigma 0.2; `kw` laid over it."""
+    return replace(shipped().train_config, **{"sigma_start": 0.2, **kw})
 
 
 def toy_agent(seed):
@@ -177,7 +193,7 @@ class TestReplayBuffer:
 
 class TestAct:
     def test_zero_actor_gives_bound_midpoints(self):
-        agent = make_agent(3, BOUNDS, seed=0)
+        agent = new_agent(3, BOUNDS, seed=0)
         for w in agent.actor.weights:
             w[...] = 0.0
         a = act(agent, np.zeros(3))
@@ -185,7 +201,7 @@ class TestAct:
         assert np.allclose(a, mid)
 
     def test_actions_within_bounds_under_noise(self):
-        agent = make_agent(3, BOUNDS, seed=1)
+        agent = new_agent(3, BOUNDS, seed=1)
         bounds = np.array(BOUNDS)
         noise_rng = np.random.default_rng(1)
         for _ in range(100):
@@ -194,7 +210,7 @@ class TestAct:
             assert np.all(a >= bounds[:, 0]) and np.all(a <= bounds[:, 1])
 
     def test_noise_comes_from_the_given_rng(self):
-        agent = make_agent(3, BOUNDS, seed=1)
+        agent = new_agent(3, BOUNDS, seed=1)
         s = np.array([0.1, -0.2, 0.3])
         a, b = (act(agent, s, np.random.default_rng(4), sigma=0.1) for _ in range(2))
         assert np.array_equal(a, b)
@@ -205,19 +221,19 @@ class TestAct:
                                          agent.action_bounds[:, 1]))
 
     def test_clamp_matches_np_clip(self, monkeypatch, clamp_inputs):
-        agent = make_agent(3, BOUNDS, seed=1)
+        agent = new_agent(3, BOUNDS, seed=1)
         low, high = agent.action_bounds[:, 0], agent.action_bounds[:, 1]
         for a in clamp_inputs(3, scale=4.0):
             monkeypatch.setattr(ddpg, "_scale_actions", lambda policy, u: a)
             assert act(agent, np.zeros(3)).tobytes() == np.clip(a, low, high).tobytes()
 
     def test_deterministic_without_exploration(self):
-        agent = make_agent(3, BOUNDS, seed=2)
+        agent = new_agent(3, BOUNDS, seed=2)
         s = np.array([0.1, -0.2, 0.3])
         assert np.array_equal(act(agent, s), act(agent, s))
 
     def test_policy_acts_like_its_agent(self):
-        agent = make_agent(3, BOUNDS, seed=5)
+        agent = new_agent(3, BOUNDS, seed=5)
         policy = Policy(agent.actor, BOUNDS)
         s = np.array([0.4, 0.0, -0.7])
         assert np.array_equal(act(policy, s), act(agent, s))
@@ -235,7 +251,7 @@ class TestAct:
 
     def test_bounds_are_a_read_only_copy(self):
         bounds = np.array(BOUNDS)
-        policy = Policy(make_agent(3, BOUNDS, seed=1).actor, bounds)
+        policy = Policy(new_agent(3, BOUNDS, seed=1).actor, bounds)
         bounds[0, 1] = 99.0
         assert policy.action_bounds.tolist() == [list(b) for b in BOUNDS]
         for array in (policy.action_bounds, policy.low, policy.high, policy.half_span):
@@ -357,7 +373,7 @@ class TestTrainStep:
         rng = np.random.default_rng(5)
         agents, buffers = [], []
         for _ in range(2):
-            agents.append(make_agent(19, BOUNDS, seed=5))
+            agents.append(new_agent(19, BOUNDS, seed=5))
             buffers.append(ReplayBuffer(512, seed=5))
         for _ in range(300):
             row = (rng.normal(size=19), rng.uniform(*np.transpose(BOUNDS)), rng.normal(),
@@ -379,14 +395,14 @@ class TestTrainStep:
                 assert np.array_equal(got_opt.v, want_opt.v), (step, name)
 
     def test_insufficient_data(self):
-        agent = make_agent(3, BOUNDS, seed=0)
+        agent = new_agent(3, BOUNDS, seed=0)
         buf = ReplayBuffer(8, seed=0)
         with pytest.raises(ValueError):
             train_step(agent, buf, 4)
 
     def test_terminal_batch_target_is_reward(self):
         # with done=1 everywhere the critic regresses straight to r
-        agent = make_agent(1, ((-1.0, 1.0),), seed=1)
+        agent = new_agent(1, ((-1.0, 1.0),), seed=1)
         buf = ReplayBuffer(8, seed=1)
         buf.store([0.5], [0.2], 1.7, [0.5], 1.0)
         for _ in range(5000):
@@ -395,14 +411,14 @@ class TestTrainStep:
         assert q == pytest.approx(1.7, abs=1e-3)
 
     def test_gamma_zero_equivalent_to_terminal(self):
-        agent = make_agent(3, BOUNDS, seed=2)
-        agent.gamma = 1e-12  # gamma=0 disallowed by validation; use the limit
+        agent = new_agent(3, BOUNDS, seed=2)
+        agent.gamma = 1e-12  # load_config refuses a lambda of 0; use the limit
         buf = self.fill_buffer(agent)
         loss, obj = train_step(agent, buf, 32)
         assert np.isfinite(loss) and np.isfinite(obj)
 
     def test_single_transition_regression_converges(self):
-        agent = make_agent(1, ((-1.0, 1.0),), seed=3, critic_lr=5e-3)
+        agent = new_agent(1, ((-1.0, 1.0),), seed=3, critic_lr=5e-3)
         buf = ReplayBuffer(4, seed=3)
         buf.store([0.3], [-0.4], 0.9, [0.3], 1.0)
         for _ in range(5000):
@@ -414,7 +430,7 @@ class TestTrainStep:
 
     def test_critic_gradient_matches_finite_difference(self):
         # frozen batch: the loss gradient used by train_step checks out numerically
-        agent = make_agent(2, ((-1.0, 1.0),), seed=4)
+        agent = new_agent(2, ((-1.0, 1.0),), seed=4)
         rng = np.random.default_rng(4)
         sa = rng.normal(size=(8, 3))
         y = rng.normal(size=8)
@@ -442,7 +458,7 @@ class TestTrainLoop:
     def test_zero_episodes_returns_agent_unchanged(self):
         agent = toy_agent(seed=0)
         before = [w.copy() for w in agent.actor.weights]
-        agent, curve = train(agent, lambda ep, seed: ToyEnv(), 0, TrainConfig(seed=0))
+        agent, curve = train(agent, lambda ep, seed: ToyEnv(), 0, train_config(seed=0))
         assert curve == []
         assert all(np.array_equal(a, b) for a, b in zip(before, agent.actor.weights))
 
@@ -452,7 +468,7 @@ class TestTrainLoop:
         bests = []
         for seed in range(5):
             agent = toy_agent(seed)
-            cfg = TrainConfig(batch_size=32, warmup=64, sigma_start=0.4,
+            cfg = train_config(batch_size=32, warmup=64, sigma_start=0.4,
                               sigma_end=0.05, seed=seed)
             agent, curve = train(agent, lambda ep, s: ToyEnv(), 200, cfg)
             bests.append(max(r["return"] for r in curve))
@@ -461,7 +477,7 @@ class TestTrainLoop:
     def test_deterministic_learning_curve(self):
         def run():
             agent = toy_agent(7)
-            cfg = TrainConfig(batch_size=16, warmup=32, seed=7)
+            cfg = train_config(batch_size=16, warmup=32, seed=7)
             _, curve = train(agent, lambda ep, s: ToyEnv(), 20, cfg)
             return [r["return"] for r in curve]
 
@@ -470,5 +486,5 @@ class TestTrainLoop:
     def test_curve_fields(self):
         agent = toy_agent(1)
         _, curve = train(agent, lambda ep, s: ToyEnv(), 3,
-                         TrainConfig(batch_size=8, warmup=8, seed=1))
+                         train_config(batch_size=8, warmup=8, seed=1))
         assert {"episode", "return", "discounted_return", "critic_loss"} <= curve[0].keys()

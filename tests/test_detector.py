@@ -1,13 +1,13 @@
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridevade import detector as det, neural
 from gridevade.detector import (
-    DetectorConfig,
     DetectorModel,
     evaluate_detector,
     featurize_window,
@@ -17,6 +17,13 @@ from gridevade.detector import (
     train_detector,
 )
 from gridevade.grid_traces import generate_trace, split_dataset, windows
+
+from conftest import shipped
+
+
+def detector_config(**kw):
+    """The shipped detector config at seed 0, with `kw` laid over it."""
+    return replace(shipped().detector_config, **{"seed": 0, **kw})
 
 
 def zero_weight_model(window=10, bus_count=9):
@@ -68,7 +75,7 @@ class TestTrainDetector:
     def test_single_class_rejected(self):
         windows = [(np.ones((5, 3)), 0) for _ in range(20)]
         with pytest.raises(ValueError, match="single class"):
-            train_detector(windows, DetectorConfig(window=5), bus_count=3)
+            train_detector(windows, detector_config(window=5), bus_count=3)
 
     def test_linearly_separable_toy(self):
         rng = np.random.default_rng(0)
@@ -77,7 +84,7 @@ class TestTrainDetector:
             lbl = int(rng.integers(2))
             base = 1.0 - 0.05 * lbl  # sagged windows labeled 1
             windows.append((base + rng.normal(0, 0.002, size=(5, 3)), lbl))
-        cfg = DetectorConfig(window=5, hidden=(8,), epochs=200, seed=0)
+        cfg = detector_config(window=5, hidden=(8,), epochs=200, seed=0)
         model, _ = train_detector(windows, cfg, bus_count=3)
         correct = sum(
             (posterior(model, featurize_window(w)) >= 0.5) == bool(lbl)
@@ -88,7 +95,7 @@ class TestTrainDetector:
         rng = np.random.default_rng(1)
         windows = [(1.0 + rng.normal(0, 0.01, size=(3, 2)), int(i % 2))
                    for i in range(40)]
-        cfg = DetectorConfig(window=3, hidden=(4,), epochs=10, seed=7)
+        cfg = detector_config(window=3, hidden=(4,), epochs=10, seed=7)
         m1, l1 = train_detector(windows, cfg, bus_count=2)
         m2, l2 = train_detector(windows, cfg, bus_count=2)
         assert l1 == l2
@@ -99,7 +106,7 @@ class TestTrainDetector:
         loss in the last epoch only, or normalising the stacked windows in
         place, must move neither."""
         traces = [generate_trace(default_scenario.with_seed(s)) for s in range(4)]
-        cfg = DetectorConfig(hidden=(16, 8), epochs=3, batch_size=32, seed=11)
+        cfg = detector_config(hidden=(16, 8), epochs=3, batch_size=32, seed=11)
         train_set, _ = split_dataset(traces, cfg.window, 0.75, seed=2)
         model, loss = train_detector(train_set, cfg, bus_count=9)
         assert loss.hex() == "0x1.5dad0c967dd74p-1"
@@ -110,14 +117,14 @@ class TestTrainDetector:
         trace = generate_trace(default_scenario)
         before = trace.frames.copy()
         train_set, _ = split_dataset([trace, trace], 10, 0.5, seed=0)
-        train_detector(train_set, DetectorConfig(hidden=(4,), epochs=1), bus_count=9)
+        train_detector(train_set, detector_config(hidden=(4,), epochs=1), bus_count=9)
         assert np.array_equal(trace.frames, before)
 
     def test_zero_epochs_give_nan_loss_without_warning(self):
         windows = [(1.0 + 0.01 * i * np.ones((3, 2)), i % 2) for i in range(8)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, loss = train_detector(windows, DetectorConfig(window=3, epochs=0), bus_count=2)
+            _, loss = train_detector(windows, detector_config(window=3, epochs=0), bus_count=2)
         assert np.isnan(loss)
 
     def test_default_scenario_holdout_accuracy(self, trained_detector, default_scenario):

@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridevade.grid_traces import (
     BusCase,
-    TraceScenario,
     default_case,
     generate_trace,
     load_case,
     split_dataset,
     windows,
 )
+
+from conftest import shipped
 
 
 def flat_case(n=9, nominal=1.0, coupling=1.0):
@@ -18,11 +21,8 @@ def flat_case(n=9, nominal=1.0, coupling=1.0):
 
 
 def scenario(**kw):
-    defaults = dict(case=flat_case(), dt=0.1, horizon=10.0, fault_start=5.4,
-                    fault_bus=4, fault_depth=0.2, fault_freq=1.5,
-                    fault_damping=1.0, sensor_noise_std=0.002, seed=0)
-    defaults.update(kw)
-    return TraceScenario(**defaults)
+    """The shipped scenario on a flat case at trace seed 0, with `kw` laid over it."""
+    return replace(shipped().scenario, **{"case": flat_case(), "seed": 0, **kw})
 
 
 class TestBusCase:
@@ -38,20 +38,6 @@ class TestBusCase:
     def test_coupling_bounds(self):
         with pytest.raises(ValueError, match="fault_coupling"):
             flat_case(coupling=1.2)
-
-
-class TestScenarioValidation:
-    @pytest.mark.parametrize("kw,field", [
-        (dict(dt=0.0), "dt"),
-        (dict(dt=11.0), "dt"),
-        (dict(fault_start=10.0), "fault_start"),
-        (dict(fault_bus=12), "fault_bus"),
-        (dict(fault_depth=-0.1), "fault_depth"),
-        (dict(sensor_noise_std=-1e-3), "sensor_noise_std"),
-    ])
-    def test_rejects_naming_field(self, kw, field):
-        with pytest.raises(ValueError, match=field):
-            scenario(**kw)
 
 
 class TestGenerateTrace:

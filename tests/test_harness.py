@@ -1,8 +1,9 @@
 import csv
+import inspect
 import json
 import re
 import shutil
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from functools import reduce
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 from gridevade import ddpg, detector as det, harness, neural
-from gridevade.attack_env import AttackConfig, RewardParams
+from gridevade.attack_env import DEFAULT_IMPULSE_DENSITY, AttackConfig, RewardParams
 from gridevade.cli import main
 from gridevade.grid_traces import TraceScenario, generate_trace, split_dataset
 from gridevade.harness import (
@@ -267,6 +268,10 @@ class TestConfig:
          "config key 'attack.reward.lambda' must lie in (0, 1], got 1.5"),
         ("attack: {reward: {lambda: 0}}",
          "config key 'attack.reward.lambda' must lie in (0, 1], got 0.0"),
+        ("attack: {reward: {k0: .inf}}",
+         "config key 'attack.reward.k0' must be a finite number, got inf"),
+        ("attack: {reward: {k0: .nan}}",
+         "config key 'attack.reward.k0' must be a finite number, got nan"),
         ("attack: {reward: {x_hat: 0}}", "config key 'attack.reward.x_hat' must be > 0, got 0.0"),
         ("attack: {reward: {x_hat: -1}}",
          "config key 'attack.reward.x_hat' must be > 0, got -1.0"),
@@ -288,6 +293,10 @@ class TestConfig:
         ("scenario: {dt: 0}", "config key 'scenario.dt' must be > 0, got 0.0"),
         ("scenario: {dt: 20}",
          "config key 'scenario.dt' (20.0) must be less than 'scenario.horizon' (10.0)"),
+        ("scenario: {dt: 10}",
+         "config key 'scenario.dt' (10.0) must be less than 'scenario.horizon' (10.0)"),
+        ("scenario: {fault_start: 10}",
+         "config key 'scenario.fault_start' (10.0) must be less than 'scenario.horizon' (10.0)"),
         ("scenario: {horizon: 0.5}",
          "config key 'scenario.fault_start' (5.4) must be less than 'scenario.horizon' (0.5)"),
         ("scenario: {fault_start: -1}", "config key 'scenario.fault_start' must be >= 0, got -1.0"),
@@ -447,20 +456,78 @@ class TestConfig:
     def test_every_init_field_is_set_from_a_shipped_key(self):
         """A settable field of a config dataclass is a shipped YAML key of its
         section, or one of the values load_config derives; no knob lives
-        outside the YAML."""
+        outside the YAML. Nor does a default: no field or make_agent keyword
+        that a shipped key sets has one, but for RewardParams' lam and
+        horizon_frames, which equal their shipped values."""
         shipped = yaml.safe_load(harness._default_config_path().read_text())
         derived = {"seed", "case", "reward_params"}
+        kept = {"lambda", "horizon_frames"}
         for cls, section in ((AttackConfig, "attack"), (RewardParams, "attack.reward"),
                              (det.DetectorConfig, "detector"), (ddpg.TrainConfig, "training"),
                              (TraceScenario, "scenario")):
             keys = reduce(dict.__getitem__, section.split("."), shipped)
-            names = {"lambda" if f.name == "lam" else f.name for f in fields(cls) if f.init}
-            assert sorted(names - derived - set(keys)) == [], cls.__name__
+            names = {"lambda" if f.name == "lam" else f.name: f for f in fields(cls) if f.init}
+            assert sorted(names.keys() - derived - set(keys)) == [], cls.__name__
+            defaulted = {name for name, f in names.items() if name not in derived
+                         and (f.default is not MISSING or f.default_factory is not MISSING)}
+            assert defaulted == (kept if cls is RewardParams else set()), cls.__name__
+        reward = shipped["attack"]["reward"]
+        defaults = {f.name: f.default for f in fields(RewardParams)}
+        assert (defaults["lam"], defaults["horizon_frames"]) == (
+            reward["lambda"], reward["horizon_frames"])
+        agent_keys = {"gamma", "tau", "hidden", "actor_lr", "critic_lr"}
+        for cls in (ddpg.make_agent, ddpg.DdpgAgent):
+            params = inspect.signature(cls).parameters
+            assert {name for name in agent_keys if name in params
+                    and params[name].default is not inspect.Parameter.empty} == set()
+        assert agent_keys <= inspect.signature(ddpg.make_agent).parameters.keys()
+
+    @pytest.mark.parametrize("attr, section", [
+        ("scenario", "scenario"), ("detector_config", "detector"),
+        ("attack_config", "attack"), ("attack_config.reward_params", "attack.reward"),
+        ("train_config", "training")])
+    def test_every_field_holds_its_shipped_value(self, attr, section):
+        """load_config hands each field the value of its shipped key; a null
+        `attack.impulse_density` becomes the default density."""
+        cfg = load_config()
+        config = reduce(getattr, attr.split("."), cfg)
+        keys = reduce(dict.__getitem__, section.split("."), cfg.raw)
+        for f in fields(config):
+            key = "lambda" if f.name == "lam" else f.name
+            if key in ("seed", "case", "reward_params"):
+                continue
+            want = keys[key]
+            if key == "impulse_density" and want is None:
+                want = DEFAULT_IMPULSE_DENSITY
+            got = getattr(config, f.name)
+            assert json.loads(json.dumps(got)) == want, key
+
+    def test_benchmark_reward_params_match_the_shipped_config(self):
+        """gridbench builds a RewardParams by hand from k0, x_hat and
+        penalty_abs; it still builds, and matches what load_config gives."""
+        assert RewardParams(k0=10.0, x_hat=1.0, penalty_abs=True) == \
+            load_config().attack_config.reward_params
+
+    def test_benchmark_agent_matches_the_shipped_config(self):
+        """gridbench's workloads build an agent with exactly these keywords;
+        it still builds, under the shipped `agent` section."""
+        cfg = load_config()
+        state_dim = 2 * cfg.case.bus_count + 1
+        agent = ddpg.make_agent(
+            state_dim=state_dim, action_bounds=cfg.attack_config.action_bounds, seed=5,
+            hidden=cfg.agent_hidden, gamma=cfg.agent_gamma, tau=cfg.agent_tau,
+            actor_lr=cfg.actor_lr, critic_lr=cfg.critic_lr)
+        assert agent.actor.layer_sizes == [state_dim, *cfg.agent_hidden, 3]
+        assert (agent.gamma, agent.tau) == (cfg.raw["attack"]["reward"]["lambda"],
+                                            cfg.raw["agent"]["tau"])
+        assert (agent.actor_opt.lr, agent.critic_opt.lr) == (cfg.raw["agent"]["actor_lr"],
+                                                             cfg.raw["agent"]["critic_lr"])
 
     def test_kernel_magnitude_is_not_a_setting(self):
+        attack_config = load_config().attack_config
         with pytest.raises(TypeError, match="kernel_magnitude"):
-            AttackConfig(kernel_magnitude=2.0)
-        assert AttackConfig().kernel_magnitude == 1.0
+            replace(attack_config, kernel_magnitude=2.0)
+        assert attack_config.kernel_magnitude == 1.0
 
     def test_unknown_key_fails_via_cli(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -709,7 +776,10 @@ class TestEvaluateBaseline:
         p.write_text(yaml.safe_dump({"attack": {"reward": {"horizon_frames": 40}}}))
         cfg = load_config(p)
         agent = ddpg.make_agent(2 * cfg.case.bus_count + 1,
-                                cfg.attack_config.action_bounds, seed=0)
+                                cfg.attack_config.action_bounds, seed=0,
+                                hidden=cfg.agent_hidden, gamma=cfg.agent_gamma,
+                                tau=cfg.agent_tau, actor_lr=cfg.actor_lr,
+                                critic_lr=cfg.critic_lr)
         runs = []
         for baseline in harness.BASELINES:
             _, (run,) = harness.evaluate_baseline(cfg, trained_detector, baseline,
