@@ -29,9 +29,11 @@ __all__ = [
 class ReplayBuffer:
     """Fixed-capacity FIFO ring of transitions with uniform sampling.
 
-    Transitions live in five column arrays (s, a, r, s', done). They start
-    at `INITIAL_ROWS` rows and double up to `capacity` as they fill, so a
-    large capacity costs memory only once it is used.
+    Transitions are the rows of one matrix laid out
+    [s | a | s' | a' | r | done]; the a' columns are not stored to but give
+    `train_step` room for target actions next to s'. The matrix starts at
+    `INITIAL_ROWS` rows and doubles up to `capacity` as it fills, so a large
+    capacity costs memory only once it is used.
     """
 
     INITIAL_ROWS = 1024
@@ -41,7 +43,7 @@ class ReplayBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
-        self._columns = None  # allocated by the first store
+        self._rows = None  # allocated by the first store
         self._size = 0
         self._pos = 0
 
@@ -49,36 +51,48 @@ class ReplayBuffer:
         return self._size
 
     def store(self, state, action, reward, next_state, done):
-        row = (np.asarray(state, dtype=float), np.asarray(action, dtype=float),
-               float(reward), np.asarray(next_state, dtype=float), float(done))
-        if self._columns is None:
-            rows = min(self.INITIAL_ROWS, self.capacity)
-            self._columns = [np.empty((rows, *np.shape(x))) for x in row]
-        s, a, _, s2, _ = self._columns
-        if (row[0].shape != s.shape[1:] or row[1].shape != a.shape[1:]
-                or row[3].shape != s2.shape[1:]):
+        s, a, s2 = (np.asarray(x, dtype=float) for x in (state, action, next_state))
+        if self._rows is None:
+            if s.ndim != 1 or a.ndim != 1:
+                raise ValueError(f"transition shapes {s.shape}, {a.shape} are not vectors")
+            self._state_dim, self._action_dim = len(s), len(a)
+            width = 2 * (len(s) + len(a)) + 2
+            self._rows = np.empty((min(self.INITIAL_ROWS, self.capacity), width))
+        sd, ad = self._state_dim, self._action_dim
+        if s.shape != (sd,) or a.shape != (ad,) or s2.shape != (sd,):
             raise ValueError(
-                f"transition shapes {[np.shape(x) for x in row]} differ from the "
-                f"stored {[c.shape[1:] for c in self._columns]}"
+                f"transition shapes {[s.shape, a.shape, s2.shape]} differ from the "
+                f"stored {[(sd,), (ad,), (sd,)]}"
             )
-        rows = len(s)
+        rows = len(self._rows)
         if self._pos == rows < self.capacity:
-            grown = min(2 * rows, self.capacity)
-            for i, c in enumerate(self._columns):
-                self._columns[i] = np.empty((grown, *c.shape[1:]))
-                self._columns[i][:rows] = c
-        for c, x in zip(self._columns, row):
-            c[self._pos] = x
+            grown = np.empty((min(2 * rows, self.capacity), self._rows.shape[1]))
+            grown[:rows] = self._rows
+            self._rows = grown
+        row = self._rows[self._pos]
+        row[:sd] = s
+        row[sd:sd + ad] = a
+        row[sd + ad:2 * sd + ad] = s2
+        row[-2] = reward
+        row[-1] = done
         self._pos = (self._pos + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int):
+        """(s, a, r, s', done) of `batch_size` uniform draws.
+
+        All five are views of one freshly gathered block of rows, which is
+        `s.base`: writing into them leaves the buffer as it was.
+        """
         if self._size < batch_size:
             raise ValueError(
                 f"buffer holds {self._size} transitions, need {batch_size}"
             )
         idx = self._rng.integers(0, self._size, size=batch_size)
-        return tuple(c[idx] for c in self._columns)
+        block = self._rows[idx]
+        sd, ad = self._state_dim, self._action_dim
+        return (block[:, :sd], block[:, sd:sd + ad], block[:, -2],
+                block[:, sd + ad:2 * sd + ad], block[:, -1])
 
 
 @dataclass
@@ -141,10 +155,11 @@ def make_agent(state_dim: int, action_bounds, seed: int = 0, *, hidden, gamma: f
     )
 
 
-def _scale_actions(policy: Policy, u: np.ndarray) -> np.ndarray:
-    """Map actor outputs in [-1, 1] affinely onto the action bounds."""
+def _scale_actions(policy: Policy, u: np.ndarray, out=None) -> np.ndarray:
+    """Map actor outputs in [-1, 1] affinely onto the action bounds; with
+    `out`, write them there."""
     # (u + 1) * (0.5 * span) has the bits of (u + 1) * 0.5 * span: halving is exact.
-    return policy.low + (u + 1.0) * policy.half_span
+    return np.add(policy.low, (u + 1.0) * policy.half_span, out=out)
 
 
 def act(policy: Policy, state, noise_rng: np.random.Generator | None = None,
@@ -161,11 +176,14 @@ def act(policy: Policy, state, noise_rng: np.random.Generator | None = None,
 
 
 def soft_update(target: neural.Mlp, online: neural.Mlp, tau: float) -> neural.Mlp:
-    """target <- tau * online + (1 - tau) * target, element-wise."""
+    """target <- tau * online + (1 - tau) * target, element-wise, in place:
+    target += tau * (online - target)."""
     if target.layer_sizes != online.layer_sizes:
         raise ValueError("target and online networks differ in shape")
     params = target.params
-    params += tau * (online.params - params)
+    step = np.subtract(online.params, params)
+    step *= tau
+    params += step
     return target
 
 
@@ -175,15 +193,18 @@ def train_step(agent: DdpgAgent, buffer: ReplayBuffer, batch_size: int):
     Returns (critic_loss, actor_objective).
     """
     s, a, r, s2, done = buffer.sample(batch_size)
-    state_dim = s.shape[1]
+    # The critic's inputs are column views of the sampled block
+    # [s | a | s' | a' | r | done]: s‖a and s'‖a', joined without a copy.
+    state_dim, width = s.shape[1], s.shape[1] + a.shape[1]
+    sa = s.base[:, :width]
+    s2a2 = s.base[:, width:2 * width]
 
     # Critic target: r + gamma * (1 - done) * Q'(s', mu'(s')).
     u2 = neural.forward(agent.target_actor, s2)
-    a2 = _scale_actions(agent, u2)
-    q2 = neural.forward(agent.target_critic, np.concatenate((s2, a2), axis=1))[:, 0]
+    _scale_actions(agent, u2, out=s2a2[:, state_dim:])
+    q2 = neural.forward(agent.target_critic, s2a2)[:, 0]
     y = r + agent.gamma * (1.0 - done) * q2
 
-    sa = np.concatenate((s, a), axis=1)
     q, cache = neural.forward_full(agent.critic, sa)
     err = q[:, 0] - y
     critic_loss = float(np.mean(err ** 2))
@@ -191,10 +212,11 @@ def train_step(agent: DdpgAgent, buffer: ReplayBuffer, batch_size: int):
     grads = neural.backward(agent.critic, sa, gout, cache=cache)
     neural.adam_step(agent.critic_opt, agent.critic, grads)
 
-    # Actor ascends Q(s, mu(s)): chain dQ/da through the bound mapping.
+    # Actor ascends Q(s, mu(s)): chain dQ/da through the bound mapping. The
+    # policy's actions overwrite the a columns, which the critic is done with.
     u, actor_cache = neural.forward_full(agent.actor, s)
-    a_pi = _scale_actions(agent, u)
-    q_pi, critic_cache = neural.forward_full(agent.critic, np.concatenate((s, a_pi), axis=1))
+    _scale_actions(agent, u, out=a)
+    q_pi, critic_cache = neural.forward_full(agent.critic, sa)
     actor_objective = float(np.mean(q_pi[:, 0]))
     input_grad = neural.input_gradient(agent.critic,
                                        np.full((batch_size, 1), -1.0 / batch_size),

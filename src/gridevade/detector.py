@@ -124,7 +124,8 @@ def train_detector(train_set, config: DetectorConfig, bus_count: int):
             idx = order[start : start + config.batch_size]
             xb, yb = X[idx], y[idx]
             out, cache = neural.forward_full(net, xb)
-            p = np.clip(out[:, 0], eps, 1 - eps)
+            # np.clip's bits for these non-zero scalar bounds, without its wrapper.
+            p = np.minimum(np.maximum(out[:, 0], eps), 1 - eps)
             if final:
                 losses.append(float(np.mean(-yb * np.log(p) - (1 - yb) * np.log(1 - p))))
             # dL/dp; the sigmoid derivative inside backward restores (p - y)/B.

@@ -7,6 +7,10 @@ gradient check stays meaningful and the artifact stays dependency-free.
 A network keeps all its parameters in one contiguous vector, layer by layer
 (weights[0], biases[0], weights[1], ...). A gradient is a vector in the same
 layout, so Adam and target-network updates are a few whole-vector operations.
+Adam writes its moments and the parameters in place, as the DDPG soft
+updates write the target parameters. The DDPG replay buffer's `sample`
+returns views of one freshly gathered block of rows, which the forward and
+backward passes read without a copy.
 """
 
 from __future__ import annotations
@@ -154,7 +158,8 @@ def forward_full(net: Mlp, x):
         )
     cache = [(None, a)]
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w + b
+        z = a @ w
+        z += b  # on the fresh product: one (rows, n_out) array, not two
         a = _apply_activation(act, z)
         cache.append((z, a))
     return (a[0] if single else a), cache
@@ -237,17 +242,35 @@ class AdamState:
 
 
 def adam_step(opt: AdamState, net: Mlp, grad: np.ndarray):
-    """Standard Adam update with bias correction; updates in place."""
+    """Standard Adam update with bias correction.
+
+    Writes `opt.m`, `opt.v` and `net.params` in place through two work
+    vectors, in the operation order of
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), so the bits are those of that form.
+    """
     if grad.shape != net.params.shape:
         raise ValueError(f"gradient shape mismatch: {grad.shape} vs {net.params.shape}")
     opt.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**opt.step
     c2 = 1.0 - b2**opt.step
-    opt.m = b1 * opt.m + (1 - b1) * grad
-    opt.v = b2 * opt.v + (1 - b2) * grad * grad
+    m, v = opt.m, opt.v
+    work = np.multiply(grad, 1 - b1)
+    m *= b1
+    m += work
+    np.multiply(grad, 1 - b2, out=work)
+    work *= grad
+    v *= b2
+    v += work
+    np.divide(v, c2, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPSILON
+    step = np.divide(m, c1)
+    step *= opt.lr
+    step /= work
     params = net.params
-    params -= opt.lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + ADAM_EPSILON)
+    params -= step
     return net, opt
 
 

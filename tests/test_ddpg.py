@@ -144,16 +144,26 @@ class TestReplayBuffer:
         buf = self.make(capacity=capacity, seed=11)
         ref = ListReplayBuffer(capacity, seed=11)
         rng = np.random.default_rng(12)
+        edges = (1023, 1024, 1025, capacity - 1, capacity, 2 * capacity)
         for k in range(3 * capacity):
             t = (rng.normal(size=3), rng.normal(size=2), rng.normal(),
                  rng.normal(size=3), float(rng.random() < 0.1))
             buf.store(*t)
             ref.store(*t)
-            if k % 97 == 0 or k in (1023, 1024, 1025, capacity - 1, capacity):
+            if k % 97 == 0 or k in edges:
                 batch = min(k + 1, 64)
                 got, want = buf.sample(batch), ref.sample(batch)
                 assert len(buf) == len(ref)
                 assert all(np.array_equal(x, y) for x, y in zip(got, want)), k
+                # The sample is a fresh block (train_step writes into it through
+                # s.base): scribbling on it must not reach the stored rows,
+                # which full-size draws then read back (NaN equals nothing).
+                for x in (*got, got[0].base):
+                    x[...] = np.nan
+                for _ in range(3 if k in edges else 0):
+                    n = len(buf)
+                    assert all(np.array_equal(x, y)
+                               for x, y in zip(buf.sample(n), ref.sample(n))), k
 
     @pytest.mark.parametrize("field", [0, 1, 3])
     def test_shape_change_raises(self, field):
@@ -358,6 +368,24 @@ def reference_train_step(agent, buffer, batch_size):
     return critic_loss, actor_objective
 
 
+def assert_steps_match_reference(got_agent, want_agent, got_buffer, want_buffer,
+                                 batch_size, steps=20):
+    """train_step on one agent and reference_train_step on its twin agree bit
+    for bit, step after step: losses, nets and Adam states."""
+    for step in range(steps):
+        got = train_step(got_agent, got_buffer, batch_size)
+        want = reference_train_step(want_agent, want_buffer, batch_size)
+        assert np.array_equal(got, want), step
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            assert np.array_equal(getattr(got_agent, name).params,
+                                  getattr(want_agent, name).params), (step, name)
+        for name in ("actor_opt", "critic_opt"):
+            got_opt, want_opt = getattr(got_agent, name), getattr(want_agent, name)
+            assert got_opt.step == want_opt.step
+            assert np.array_equal(got_opt.m, want_opt.m), (step, name)
+            assert np.array_equal(got_opt.v, want_opt.v), (step, name)
+
+
 class TestTrainStep:
     def fill_buffer(self, agent, n=128, done=0.0, seed=0):
         rng = np.random.default_rng(seed)
@@ -380,19 +408,27 @@ class TestTrainStep:
                    rng.normal(size=19), float(rng.random() < 0.1))
             for buf in buffers:
                 buf.store(*row)
-        got_agent, want_agent = agents
-        for step in range(20):
-            got = train_step(got_agent, buffers[0], 64)
-            want = reference_train_step(want_agent, buffers[1], 64)
-            assert np.array_equal(got, want), step
-            for name in ("actor", "critic", "target_actor", "target_critic"):
-                assert np.array_equal(getattr(got_agent, name).params,
-                                      getattr(want_agent, name).params), (step, name)
-            for name in ("actor_opt", "critic_opt"):
-                got_opt, want_opt = getattr(got_agent, name), getattr(want_agent, name)
-                assert got_opt.step == want_opt.step
-                assert np.array_equal(got_opt.m, want_opt.m), (step, name)
-                assert np.array_equal(got_opt.v, want_opt.v), (step, name)
+        assert_steps_match_reference(*agents, *buffers, 64)
+
+    def test_bit_identical_to_reference_after_restore(self):
+        # train() ends by rebinding agent.actor and agent.critic to copies of
+        # the best-return nets; later updates must still be the reference's.
+        agents = []
+        for _ in range(2):
+            agent = toy_agent(3)
+            first_actor, first_critic = agent.actor, agent.critic
+            agent, _ = train(agent, lambda ep, s: ToyEnv(), 6,
+                             train_config(batch_size=8, warmup=8, seed=3))
+            assert agent.actor is not first_actor and agent.critic is not first_critic
+            agents.append(agent)
+        rng = np.random.default_rng(6)
+        buffers = [ReplayBuffer(128, seed=6) for _ in range(2)]
+        for _ in range(100):
+            row = (rng.normal(size=1), rng.uniform(-1.0, 1.0, 1), rng.normal(),
+                   rng.normal(size=1), float(rng.random() < 0.1))
+            for buf in buffers:
+                buf.store(*row)
+        assert_steps_match_reference(*agents, *buffers, 32)
 
     def test_insufficient_data(self):
         agent = new_agent(3, BOUNDS, seed=0)

@@ -703,6 +703,49 @@ def copy_run(run_dir, dest, names=("detector.json", "actor.json")):
     return dest
 
 
+class TestBenchmarkHooks:
+    """gridbench counts DDPG updates and detector mini-batches by wrapping the
+    module attributes `ddpg.train_step`, `neural.adam_step` and
+    `detector.train_detector`, and reads the train set from the latter's
+    first positional argument. An update inlined or renamed loses its count."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_train_attacker_runs_one_train_step_per_update(self, run_dir, tmp_path,
+                                                          monkeypatch):
+        out, cfg = run_dir
+        cfg = replace(cfg, train_restarts=2, train_episodes=2)
+        calls = self.count_calls(monkeypatch, ddpg, "train_step")
+        harness.cmd_train_attacker(cfg, copy_run(out, tmp_path / "run", ("detector.json",)))
+        t_f = (cfg.attack_config.reward_params.horizon_frames
+               or cfg.scenario.n_frames - cfg.detector_config.window)
+        start = max(cfg.train_config.batch_size, cfg.train_config.warmup)
+        assert len(calls) == cfg.train_restarts * (cfg.train_episodes * t_f - start + 1) > 0
+
+    def test_train_detector_runs_one_adam_step_per_minibatch(self, fast_config, tmp_path,
+                                                             monkeypatch):
+        cfg = load_config(fast_config)
+        trainings = self.count_calls(monkeypatch, det, "train_detector")
+        steps = self.count_calls(monkeypatch, neural, "adam_step")
+        harness.cmd_train_detector(cfg, tmp_path)
+        assert len(trainings) == 1
+        train_set = trainings[0][0]
+        assert all(np.shape(w) == (cfg.detector_config.window, cfg.case.bus_count)
+                   and label in (0, 1) for w, label in train_set)
+        batches = -(-len(train_set) // cfg.detector_config.batch_size)
+        assert len(steps) == cfg.detector_config.epochs * batches > 0
+
+
 class TestEvaluateInputs:
     """What `evaluate` reads and what it refuses before it writes anything."""
 

@@ -184,6 +184,22 @@ class TestForward:
             x = rng.normal(size=net.layer_sizes[0])
             assert np.allclose(forward(net, x), naive_forward(net, x), atol=1e-12)
 
+    def test_matches_out_of_place_forward(self):
+        # forward_full adds the biases in place; the bits are those of the
+        # plain expressions.
+        rng = np.random.default_rng(14)
+        for trial in range(40):
+            net = random_net(rng, sizes=[int(rng.integers(2, 9)) for _ in range(4)])
+            a = rng.normal(scale=4.0, size=(int(rng.integers(1, 70)), net.layer_sizes[0]))
+            got, cache = forward_full(net, a)
+            for k, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+                z = a @ w + b
+                a = {"relu": lambda: np.maximum(z, 0.0), "tanh": lambda: np.tanh(z),
+                     "sigmoid": lambda: 1.0 / (1.0 + np.exp(-z)), "identity": lambda: z}[act]()
+                assert np.array_equal(cache[k + 1][0], z), trial
+                assert np.array_equal(cache[k + 1][1], a), trial
+            assert np.array_equal(got, a), trial
+
     def test_forward_is_pure(self):
         net = init_mlp([3, 4, 1], ["tanh", "identity"], seed=1)
         before = [w.copy() for w in net.weights]
@@ -316,6 +332,7 @@ class TestAdam:
         m_b = [np.zeros_like(b) for b in ref_b]
         v_b = [np.zeros_like(b) for b in ref_b]
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+        m, v = opt.m, opt.v
         for step in range(1, 21):
             x = rng.normal(size=(16, 5))
             grad = backward(net, x, rng.normal(size=(16, 2)))
@@ -330,6 +347,7 @@ class TestAdam:
                 ref_b[k] -= lr * (m_b[k] / c1) / (np.sqrt(v_b[k] / c2) + eps)
             assert all(np.array_equal(a, b) for a, b in zip(net.weights, ref_w)), step
             assert all(np.array_equal(a, b) for a, b in zip(net.biases, ref_b)), step
+        assert opt.m is m and opt.v is v  # updated in place
 
     def test_zero_gradient_no_change(self):
         net = init_mlp([3, 2], ["identity"], seed=0)
