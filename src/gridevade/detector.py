@@ -1,9 +1,10 @@
 """Sliding-window neural contingency detector.
 
 Maps the last `window` frames of per-bus voltages to the posterior
-probability of an ongoing contingency. The attack side of the codebase
-only ever calls `posterior` / `evaluate_detector`; detector weights stay
-behind this interface (black-box boundary).
+probability of an ongoing contingency. The attack env only ever calls
+`featurize_window`, `posterior` and `posterior_series`; detector weights
+stay behind this interface (black-box boundary). `detection_delay` is the
+one delay rule, shared by the hold-out report and the attack metrics.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "train_detector",
     "posterior",
     "posterior_series",
+    "detection_delay",
     "evaluate_detector",
     "save_detector",
     "load_detector",
@@ -150,31 +152,29 @@ def posterior_series(model: DetectorModel, trace: MeasurementTrace) -> np.ndarra
     return neural.forward(model.net, X)[:, 0]
 
 
+def detection_delay(times, labels, flagged) -> float | None:
+    """Time from the first post-fault frame to the first flagged post-fault
+    frame of a series; None if no post-fault frame is flagged."""
+    post = labels == 1
+    hit = np.flatnonzero(flagged & post)
+    return float(times[hit[0]] - times[post.argmax()]) if len(hit) else None
+
+
 def evaluate_detector(model: DetectorModel, traces) -> DetectorReport:
     """Frame accuracy, pre-fault false positives, and detection delay over `traces`."""
-    correct = total = fp = pre = 0
-    series, delays = [], []
-    for tr in traces:
-        w = model.window
-        post = posterior_series(model, tr)
-        times = tr.times[w - 1 :]
-        labels = tr.labels[w - 1 :]
-        pred = (post >= model.threshold).astype(int)
-        correct += int(np.sum(pred == labels))
-        total += len(labels)
-        fp += int(np.sum(pred[labels == 0]))
-        pre += int(np.sum(labels == 0))
-        series.append((times, post, labels))
-        fault_t = tr.fault_start_time
-        if fault_t is None:
-            delays.append(None)
-            continue
-        hit = np.flatnonzero((pred == 1) & (labels == 1))
-        delays.append(max(0.0, float(times[hit[0]] - fault_t)) if len(hit) else None)
+    if not traces:
+        raise ValueError("no traces to evaluate")
+    w = model.window
+    series = [(tr.times[w - 1 :], posterior_series(model, tr), tr.labels[w - 1 :])
+              for tr in traces]
+    delays = [detection_delay(times, labels, post >= model.threshold)
+              for times, post, labels in series]
+    _, post, labels = map(np.concatenate, zip(*series))
+    flagged = post >= model.threshold
     detected = [d for d in delays if d is not None]
     return DetectorReport(
-        frame_accuracy=correct / total if total else 0.0,
-        false_positive_rate=fp / pre if pre else 0.0,
+        frame_accuracy=float(np.mean(flagged == labels)),
+        false_positive_rate=float(np.mean(flagged[labels == 0])),
         detection_delay=float(np.mean(detected)) if detected else None,
         posterior_series=series,
         delays=delays,

@@ -96,12 +96,6 @@ class MeasurementTrace:
     def n_frames(self) -> int:
         return len(self.times)
 
-    @property
-    def fault_start_time(self) -> float | None:
-        """Time of the first contingency-labeled frame, or None if clean."""
-        idx = np.flatnonzero(self.labels == 1)
-        return float(self.times[idx[0]]) if len(idx) else None
-
 
 def transient(tau, depth: float, damping: float, freq: float):
     """Voltage-sag envelope at time `tau` since fault onset (tau >= 0)."""

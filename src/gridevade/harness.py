@@ -437,10 +437,7 @@ def cmd_train_attacker(cfg: RunConfig, out_dir):
     posterior drop on validation seeds disjoint from the evaluation stream.
     """
     out = Path(out_dir)
-    ckpt = out / "detector.json"
-    if not ckpt.exists():
-        raise FileNotFoundError(f"missing detector checkpoint {ckpt}; run train-detector first")
-    model = det.load_detector(ckpt)
+    model = _load_detector(cfg, out)
     agent_seeds = derive_seeds(cfg.master_seed, _SEED_AGENT, cfg.train_restarts)
     train_seeds = derive_seeds(cfg.master_seed, _SEED_ATTACK_TRAIN, cfg.train_restarts)
     best = None
@@ -514,36 +511,27 @@ def run_attack_episode(env: AttackEnv, policy) -> dict:
     return env.record()
 
 
-def _delay(times, labels, flagged) -> float | None:
-    post = labels == 1
-    if not post.any():
-        return None
-    hit = np.flatnonzero(flagged & post)
-    if not len(hit):
-        return None
-    return max(0.0, float(times[hit[0]] - times[np.flatnonzero(post)[0]]))
-
-
 def compute_attack_metrics(episodes: list[dict], threshold: float) -> AttackMetrics:
     """Aggregate AttackMetrics over evaluated episodes."""
     labels = np.concatenate([e["label"] for e in episodes])
     clean = np.concatenate([e["clean_posterior"] for e in episodes])
     attacked = np.concatenate([e["attacked_posterior"] for e in episodes])
     post = labels == 1
-    delays_clean = [_delay(e["time"], e["label"], e["clean_posterior"] >= threshold)
-                    for e in episodes]
-    delays_att = [_delay(e["time"], e["label"], e["attacked_posterior"] >= threshold)
+
+    def mean_delay(key):
+        delays = [det.detection_delay(e["time"], e["label"], e[key] >= threshold)
                   for e in episodes]
-    dc = [d for d in delays_clean if d is not None]
-    da = [d for d in delays_att if d is not None]
+        detected = [d for d in delays if d is not None]
+        return float(np.mean(detected)) if detected else None
+
     return AttackMetrics(
         clean_accuracy=float(np.mean((clean >= threshold) == labels)),
         attacked_accuracy=float(np.mean((attacked >= threshold) == labels)),
         evasion_success_rate=float(np.mean(attacked[post] < threshold)) if post.any() else 0.0,
         mean_posterior_drop=float(np.mean(clean[post] - attacked[post])) if post.any() else 0.0,
         max_abs_perturbation=float(max(np.max(e["max_abs_n"]) for e in episodes)),
-        detection_delay_clean=float(np.mean(dc)) if dc else None,
-        detection_delay_attacked=float(np.mean(da)) if da else None,
+        detection_delay_clean=mean_delay("clean_posterior"),
+        detection_delay_attacked=mean_delay("attacked_posterior"),
     )
 
 
@@ -579,6 +567,21 @@ def evaluate_baseline(cfg: RunConfig, model: det.DetectorModel, baseline: str,
     return metrics, runs
 
 
+def _load_detector(cfg: RunConfig, out: Path) -> det.DetectorModel:
+    """The detector in `out`, checked against `cfg`."""
+    ckpt = out / "detector.json"
+    if not ckpt.exists():
+        raise FileNotFoundError(f"missing detector checkpoint {ckpt}; run train-detector first")
+    model = det.load_detector(ckpt)
+    for attr, want, key in (("window", cfg.detector_config.window, "detector.window"),
+                            ("threshold", cfg.detector_config.threshold, "detector.threshold"),
+                            ("bus_count", cfg.case.bus_count, "case_file")):
+        if getattr(model, attr) != want:
+            raise ValueError(f"{ckpt} has {attr} {getattr(model, attr)}, but config key "
+                             f"'{key}' gives {want}")
+    return model
+
+
 def _load_policy(cfg: RunConfig, out: Path) -> ddpg.Policy:
     """The trained actor in `out` and its action bounds, checked against `cfg`."""
     actor_path = out / "actor.json"
@@ -605,10 +608,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir, baselines=BASELINES) -> dict:
         raise ValueError(f"baselines must be a non-empty list of distinct names from "
                          f"{', '.join(BASELINES)}; got {list(baselines)}")
     out = Path(out_dir)
-    ckpt = out / "detector.json"
-    if not ckpt.exists():
-        raise FileNotFoundError(f"missing detector checkpoint {ckpt}")
-    model = det.load_detector(ckpt)
+    model = _load_detector(cfg, out)
     policy = _load_policy(cfg, out) if "trained_agent" in baselines else None
     results = {}
     outputs = []

@@ -8,6 +8,19 @@ from gridevade.grid_traces import generate_trace, split_dataset
 from gridevade.harness import RunConfig, load_config
 
 
+# Edge cases of `detector.detection_delay` on a 10-frame series at 0.1 s per
+# frame, as (labels, flagged, delay): no post-fault frame, flagged only before
+# the fault, flagged at the first post-fault frame, flagged two frames later.
+DELAY_CASES = [
+    pytest.param([0] * 10, [0, 1, 1] + [0] * 7, None, id="no-post-fault-frame"),
+    pytest.param([0] * 5 + [1] * 5, [1] * 5 + [0] * 5, None, id="flagged-only-before-fault"),
+    pytest.param([0] * 5 + [1] * 5, [0, 0, 0, 1, 0, 1, 0, 0, 0, 0], 0.0,
+                 id="flagged-at-first-post-fault-frame"),
+    pytest.param([0] * 5 + [1] * 5, [0] * 7 + [1] * 3, pytest.approx(0.2),
+                 id="flagged-two-frames-late"),
+]
+
+
 def shipped() -> RunConfig:
     """The shipped config's objects, fresh on each call. Tests vary them with
     `dataclasses.replace`, so every value a test does not name is the YAML's."""

@@ -9,6 +9,7 @@ import pytest
 from gridevade import detector as det, neural
 from gridevade.detector import (
     DetectorModel,
+    detection_delay,
     evaluate_detector,
     featurize_window,
     load_detector,
@@ -16,9 +17,9 @@ from gridevade.detector import (
     save_detector,
     train_detector,
 )
-from gridevade.grid_traces import generate_trace, split_dataset, windows
+from gridevade.grid_traces import MeasurementTrace, generate_trace, split_dataset, windows
 
-from conftest import shipped
+from conftest import DELAY_CASES, shipped
 
 
 def detector_config(**kw):
@@ -31,6 +32,20 @@ def zero_weight_model(window=10, bus_count=9):
     for w in net.weights:
         w[...] = 0.0
     return DetectorModel(net=net, window=window, bus_count=bus_count)
+
+
+def voltage_sign_model():
+    """A window-1, 1-bus detector that flags exactly the frames above 1 pu."""
+    net = neural.init_mlp([1, 1], ["sigmoid"], seed=0)
+    net.weights[0][...] = 100.0
+    return DetectorModel(net=net, window=1, bus_count=1)
+
+
+def flagged_trace(labels, flagged):
+    """A 1-bus trace at 0.1 s per frame that `voltage_sign_model` flags at `flagged`."""
+    labels = np.asarray(labels)
+    frames = np.where(np.asarray(flagged, dtype=bool), 1.05, 0.95)[:, None]
+    return MeasurementTrace(times=np.arange(len(labels)) * 0.1, frames=frames, labels=labels)
 
 
 class TestFeaturize:
@@ -154,7 +169,35 @@ class TestPosterior:
             posterior(trained_detector, np.zeros(10))
 
 
+class TestDetectionDelay:
+    def test_counts_from_the_first_post_fault_frame_of_the_series(self):
+        times = np.arange(4.0)
+        labels = np.array([1, 1, 1, 1])
+        assert detection_delay(times, labels, np.array([False, False, True, True])) == 2.0
+        assert detection_delay(times[1:], labels[1:], np.array([False, True, True])) == 1.0
+
+
 class TestEvaluateDetector:
+    @pytest.mark.parametrize("labels, flagged, delay", DELAY_CASES)
+    def test_delays_follow_detection_delay(self, labels, flagged, delay):
+        report = evaluate_detector(voltage_sign_model(), [flagged_trace(labels, flagged)])
+        assert report.delays == [delay]
+        assert report.detection_delay == delay
+
+    def test_rates_pool_the_frames_of_all_traces(self):
+        # 2 of 4 frames right (1 of 3 pre-fault flagged), then 10 of 10.
+        short = flagged_trace([0, 0, 0, 1], [1, 0, 0, 0])
+        long = flagged_trace([0] * 5 + [1] * 5, [0] * 5 + [1] * 5)
+        report = evaluate_detector(voltage_sign_model(), [short, long])
+        assert report.frame_accuracy == 12 / 14
+        assert report.false_positive_rate == 1 / 8
+        assert report.delays == [None, 0.0]
+        assert report.detection_delay == 0.0
+
+    def test_no_traces_are_refused(self):
+        with pytest.raises(ValueError, match="no traces to evaluate"):
+            evaluate_detector(voltage_sign_model(), [])
+
     def test_trained_model_metrics(self, trained_detector, default_scenario):
         traces = [generate_trace(default_scenario.with_seed(s)) for s in range(200, 205)]
         report = evaluate_detector(trained_detector, traces)

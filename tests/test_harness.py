@@ -25,6 +25,8 @@ from gridevade.harness import (
     load_config,
 )
 
+from conftest import DELAY_CASES
+
 
 FAULT_REFUSAL = ("config key 'scenario.fault_start' ({got}) must lie after the first detector "
                  "window ({first} s) and at or before the last frame (9.9 s), so that windows "
@@ -678,6 +680,23 @@ class TestPipeline:
             assert f in text
         assert (out / "summary.md").exists()
 
+    def test_holdout_report_and_none_baseline_share_the_delay(self, fast_config, tmp_path):
+        """Both score the clean posteriors of the evaluation seeds. A detector
+        trained for 5 epochs reaches a 0.9 threshold frames late, so the mean
+        delay is not 0."""
+        raw = yaml.safe_load(fast_config.read_text())
+        raw["detector"].update(epochs=5, threshold=0.9)
+        raw["evaluation"]["episodes"] = 4
+        path = tmp_path / "late.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        cfg = load_config(path)
+        harness.cmd_train_detector(cfg, tmp_path)
+        harness.cmd_evaluate(cfg, tmp_path, baselines=("none",))
+        delay = json.loads((tmp_path / "detector_report.json").read_text())["detection_delay"]
+        metrics = json.loads((tmp_path / "metrics_none.json").read_text())
+        assert delay > 0
+        assert metrics["detection_delay_clean"] == delay
+
     def test_rerun_evaluate_identical_metrics(self, run_dir, tmp_path):
         """The four commands rerun into a fresh directory write the same bytes."""
         out, cfg = run_dir
@@ -879,6 +898,35 @@ class TestMissingArtifacts:
         assert main(["report", "--out", str(tmp_path)]) != 0
 
 
+class TestDetectorCheckpoint:
+    """`train-attacker` and `evaluate` refuse, before writing anything, a
+    detector.json trained under another window, threshold or bus count."""
+
+    @pytest.mark.parametrize("command", ["cmd_train_attacker", "cmd_evaluate"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("detector.window", 5, "has window 10, but config key 'detector.window' gives 5"),
+        ("detector.threshold", 0.9,
+         "has threshold 0.5, but config key 'detector.threshold' gives 0.9"),
+        ("case_file", "case5.txt", "has bus_count 9, but config key 'case_file' gives 5"),
+    ], ids=["window", "threshold", "bus_count"])
+    def test_mismatched_checkpoint_is_refused(self, run_dir, fast_config, tmp_path,
+                                              command, key, value, message):
+        names = ["actor.json", "detector.json"]
+        fresh = copy_run(run_dir[0], tmp_path / "run", names)
+        if key == "case_file":
+            value = str(tmp_path / value)
+            Path(value).write_text("bus_count = 5\nnominal_voltage = 1.0, 1.0, 1.0, 1.0, 1.0\n"
+                                   "fault_coupling = 0.5, 0.5, 0.5, 0.5, 1.0\n")
+        raw = yaml.safe_load(fast_config.read_text())
+        *section, leaf = key.split(".")
+        reduce(dict.__getitem__, section, raw)[leaf] = value
+        path = tmp_path / "changed.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(harness, command)(load_config(path), fresh)
+        assert sorted(p.name for p in fresh.iterdir()) == names
+
+
 class TestMetricsComputation:
     def run(self, attacked):
         n = 10
@@ -899,6 +947,14 @@ class TestMetricsComputation:
         assert m.mean_posterior_drop == pytest.approx(0.7)
         assert m.detection_delay_attacked is None
         assert m.detection_delay_clean == 0.0
+
+    @pytest.mark.parametrize("labels, flagged, delay", DELAY_CASES)
+    def test_delays_follow_detection_delay(self, labels, flagged, delay):
+        run = self.run(np.where(flagged, 0.8, 0.3))
+        run["label"] = np.array(labels)
+        m = compute_attack_metrics([run], threshold=0.5)
+        assert m.detection_delay_attacked == delay
+        assert m.detection_delay_clean == (0.0 if 1 in labels else None)
 
     def test_no_evasion(self):
         attacked = np.array([0.1] * 5 + [0.9] * 5)
