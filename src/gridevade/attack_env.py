@@ -53,7 +53,11 @@ def _layout(density: float, seed: int) -> gabor.GaborField:
 
     With a fixed pad, `build_field` never reads the kernel, so one draw
     serves every action; the last layout is kept for the next step, env or
-    episode that asks for the same seed.
+    episode that asks for the same seed. The step fields it hands out
+    through `with_kernel` share its bus-side envelope term, the
+    (bus, impulse) block (ln(i+1) - y_i)**2, which the first step computes
+    and the later ones read. A `per-step` field skips this cache and holds
+    no block.
     """
     return gabor.build_field(gabor.GaborKernelParams(), density, NOISE_DOMAIN,
                              seed=seed, pad=LAYOUT_PAD)

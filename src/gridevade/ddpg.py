@@ -6,6 +6,7 @@ critic estimates exactly the discounted return the environment defines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +172,13 @@ def act(policy: Policy, state, noise_rng: np.random.Generator | None = None,
     u = neural.forward(policy.actor, s)
     a = _scale_actions(policy, u)
     if noise_rng is not None:
-        a = a + noise_rng.normal(0.0, sigma * policy.half_span)
+        if sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {sigma}")
+        # normal(0, scale) draws loc + scale * z element by element: these
+        # are its bits and its generator state, without its array-scale broadcast.
+        noise = noise_rng.standard_normal(len(a))
+        noise *= sigma * policy.half_span
+        a = a + noise
     return np.minimum(np.maximum(a, policy.low), policy.high)
 
 
@@ -207,7 +214,7 @@ def train_step(agent: DdpgAgent, buffer: ReplayBuffer, batch_size: int):
 
     q, cache = neural.forward_full(agent.critic, sa)
     err = q[:, 0] - y
-    critic_loss = float(np.mean(err ** 2))
+    critic_loss = float(np.add.reduce(err ** 2) / batch_size)
     gout = (2.0 * err / batch_size)[:, None]
     grads = neural.backward(agent.critic, sa, gout, cache=cache)
     neural.adam_step(agent.critic_opt, agent.critic, grads)
@@ -217,7 +224,7 @@ def train_step(agent: DdpgAgent, buffer: ReplayBuffer, batch_size: int):
     u, actor_cache = neural.forward_full(agent.actor, s)
     _scale_actions(agent, u, out=a)
     q_pi, critic_cache = neural.forward_full(agent.critic, sa)
-    actor_objective = float(np.mean(q_pi[:, 0]))
+    actor_objective = float(np.add.reduce(q_pi[:, 0]) / batch_size)
     input_grad = neural.input_gradient(agent.critic,
                                        np.full((batch_size, 1), -1.0 / batch_size),
                                        critic_cache)
@@ -273,7 +280,7 @@ def train(agent: DdpgAgent, env_factory, episodes: int, config: TrainConfig):
             rewards.append(outcome.reward)
             if len(buffer) >= max(config.batch_size, config.warmup):
                 critic_loss, _ = train_step(agent, buffer, config.batch_size)
-                if not np.isfinite(critic_loss):
+                if not math.isfinite(critic_loss):
                     raise RuntimeError(
                         f"non-finite critic loss at episode {ep}: {critic_loss}"
                     )

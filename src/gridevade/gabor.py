@@ -16,13 +16,18 @@ parts of exp(i phi) equal cos phi and sin phi bit for bit; where a libm
 rounds them apart, the field still agrees with a direct kernel sum to the
 1e-11 the benchmark checks.
 
-With inputs that vary from call to call, as they do when every step draws
-a new layout, that complex `exp` is the largest term of one evaluation:
-about 30 us of 63 us for the ~1,390 impulses of the shipped padded layout
-(1 BLAS thread, shared 2-vCPU x86-64). Timing one repeated input
-understates it (about 17 us of 47 us on the same host). `build_field`
-gives the field its own fresh draws as read-only columns, without copying
-or re-checking them.
+The envelope's bus-side term, the (bus, impulse) block (ln(i+1) - y_i)**2,
+depends only on the layout. A layout that is kept and re-kerneled through
+`with_kernel` computes it once per bus count and shares it, read-only,
+with every field it hands out; `perturbation_vector` adds it where it
+would otherwise build it, so each element takes the same operations in
+the same order and the bits do not change. A field used once, as
+`build_field` returns it, holds no block. On the ~1,390 impulses of the
+shipped padded layout (1 BLAS thread, shared 2-vCPU x86-64) the
+benchmark's traced `gabor.perturbation_vector.us` reads about 162 us on a
+kept layout (`train_attacker`) and 170 us when every step draws a new
+layout (`evaluate_per_step`). `build_field` gives the field its own fresh
+draws as read-only columns, without copying or re-checking them.
 """
 
 from __future__ import annotations
@@ -106,18 +111,25 @@ class GaborField:
             column.flags.writeable = False
         self.kernel = kernel
         self.x, self.y, self.weight = x, y, weight
+        self._bus_dy2 = None
 
     @classmethod
-    def _of_columns(cls, kernel: GaborKernelParams, x, y, weight) -> "GaborField":
+    def _of_columns(cls, kernel: GaborKernelParams, x, y, weight,
+                    bus_dy2: dict | None = None) -> "GaborField":
         """A field on read-only, finite float64 columns, taken as they are."""
         field = object.__new__(cls)
         field.kernel = kernel
         field.x, field.y, field.weight = x, y, weight
+        field._bus_dy2 = bus_dy2
         return field
 
     def with_kernel(self, kernel: GaborKernelParams) -> "GaborField":
-        """The same impulses under `kernel`; shares the read-only columns."""
-        return GaborField._of_columns(kernel, self.x, self.y, self.weight)
+        """The same impulses under `kernel`; shares the read-only columns,
+        and the store of bus-side envelope blocks (see `perturbation_vector`)
+        that the first call gives this layout."""
+        if self._bus_dy2 is None:
+            self._bus_dy2 = {}
+        return GaborField._of_columns(kernel, self.x, self.y, self.weight, self._bus_dy2)
 
     @property
     def impulses(self) -> np.recarray:
@@ -142,29 +154,39 @@ def evaluate_field(field: GaborField, x, y):
     the benchmark. Accepts scalar coordinates (returns a float) or arrays of
     query coordinates that broadcast together.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    out = _kernel_sum(field, x, y, _squared_offsets(y, field.y))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _squared_offsets(q, p) -> np.ndarray:
+    """(q_j - p_i)**2 for every query j (leading axes) and impulse i (last)."""
+    # Built in place: each fresh (q, n) temporary costs page faults once the
+    # allocator has returned the previous call's memory.
+    d = q[..., None] - p
+    d *= d
+    return d
+
+
+def _kernel_sum(field: GaborField, x, y, dy2):
+    """`evaluate_field` at queries (x, y) of one shape, given their
+    (y_q - y_i)**2 block `dy2`, which is only read."""
     k = field.kernel
     fx = 2 * math.pi * k.F0 * math.cos(k.omega0)
     fy = 2 * math.pi * k.F0 * math.sin(k.omega0)
     phase = fx * field.x + fy * field.y
     amplitude = k.K * field.weight
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
-    # The envelope is built in place: each fresh (q, n) temporary costs page
-    # faults once the allocator has returned the previous call's memory.
-    env = x[..., None] - field.x
-    env *= env
-    dy = y[..., None] - field.y
-    dy *= dy
-    env += dy
+    env = _squared_offsets(x, field.x)
+    env += dy2
     env *= -math.pi * k.sigma**2
     np.exp(env, out=env)
     query_phase = fx * x + fy * y
     carrier = 1j * phase
     np.exp(carrier, out=carrier)  # cos and sin of every impulse phase in one pass
-    out = (np.cos(query_phase) * (env @ (amplitude * carrier.real))
-           + np.sin(query_phase) * (env @ (amplitude * carrier.imag)))
-    return float(out) if np.ndim(out) == 0 else out
+    return (np.cos(query_phase) * (env @ (amplitude * carrier.real))
+            + np.sin(query_phase) * (env @ (amplitude * carrier.imag)))
 
 
 def build_field(
@@ -214,9 +236,24 @@ def _bus_ordinates(bus_count: int) -> np.ndarray:
 
 
 def perturbation_vector(field: GaborField, frame) -> np.ndarray:
-    """Per-bus noise values read off the field at (|v_i|, ln(i+1))."""
+    """Per-bus noise values read off the field at (|v_i|, ln(i+1)).
+
+    A field that shares a layout's store (`with_kernel`) reads the
+    (bus, impulse) block (ln(i+1) - y_i)**2 from it, computed once per bus
+    count and read-only; any other field builds the block for this call.
+    Either way each envelope element takes the same operations in the same
+    order, so the values are the same bits.
+    """
     frame = np.asarray(frame, dtype=float)
     if not np.isfinite(frame).all():
         raise ValueError("frame contains non-finite values")
-    return np.atleast_1d(evaluate_field(field, np.abs(frame), _bus_ordinates(len(frame))))
-
+    bus_count = len(frame)
+    ys = _bus_ordinates(bus_count)
+    store = field._bus_dy2
+    dy2 = None if store is None else store.get(bus_count)
+    if dy2 is None:
+        dy2 = _squared_offsets(ys, field.y)
+        if store is not None:
+            dy2.flags.writeable = False
+            store[bus_count] = dy2
+    return _kernel_sum(field, np.abs(frame), ys, dy2)

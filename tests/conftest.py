@@ -27,6 +27,14 @@ def shipped() -> RunConfig:
     return load_config()
 
 
+def held_blocks(field):
+    """The arrays a Gabor field holds besides its impulse columns, looking
+    one level into dicts: the bus-side envelope blocks it keeps alive."""
+    values = [v for k, v in vars(field).items() if k not in ("x", "y", "weight")]
+    values += [v for d in values if isinstance(d, dict) for v in d.values()]
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
 @pytest.fixture(scope="session")
 def default_scenario():
     """The shipped scenario, on the shipped 9-bus case, at trace seed 0."""

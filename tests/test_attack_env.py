@@ -22,7 +22,7 @@ from gridevade.attack_env import (
 )
 from gridevade.grid_traces import windows
 
-from conftest import shipped
+from conftest import held_blocks, shipped
 
 
 def reward_params(**kw):
@@ -455,6 +455,28 @@ class TestFieldLayout:
         assert len(calls) == draws
         assert len(set(calls)) == draws
         assert len(steps) == len(env_seeds) * self.EPISODES * self.STEPS
+
+
+    def test_fixed_layout_keeps_one_block(self, default_scenario, trained_detector):
+        attack_env._layout.cache_clear()
+        steps = list(self.run(default_scenario, trained_detector, "fixed", (4, 5)))
+        layout = attack_env._layout(steps[0][0].config.impulse_density, 7)
+        blocks = held_blocks(layout)
+        assert len(blocks) == 1 and blocks[0].shape == (9, len(layout))
+
+    def test_per_step_fields_hold_no_block(self, default_scenario, trained_detector,
+                                           monkeypatch):
+        fields = []
+        build_field = gabor.build_field
+
+        def recorded(*args, **kwargs):
+            fields.append(build_field(*args, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(gabor, "build_field", recorded)
+        steps = list(self.run(default_scenario, trained_detector, "per-step", (4,)))
+        assert len(fields) == len(steps)
+        assert all(held_blocks(field) == [] for field in fields)
 
 
 class TestRecord:

@@ -230,6 +230,25 @@ class TestAct:
         assert np.array_equal(a, np.clip(want, agent.action_bounds[:, 0],
                                          agent.action_bounds[:, 1]))
 
+    def test_noise_has_the_bits_and_generator_state_of_normal(self):
+        # The reference is act's first formula: rng.normal(0, sigma * half_span).
+        agent = new_agent(3, BOUNDS, seed=1)
+        low, high = agent.action_bounds[:, 0], agent.action_bounds[:, 1]
+        states = np.random.default_rng(0).normal(size=(50, 3))
+        for sigma in (0.02, 0.3, 5.0):
+            for seed, s in enumerate(states):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                a = ddpg._scale_actions(agent, neural.forward(agent.actor, s))
+                for _ in range(3):
+                    want = np.clip(a + ref_rng.normal(0.0, sigma * agent.half_span), low, high)
+                    assert act(agent, s, rng, sigma).tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_negative_sigma_rejected(self):
+        agent = new_agent(3, BOUNDS, seed=1)
+        with pytest.raises(ValueError, match="sigma"):
+            act(agent, np.zeros(3), np.random.default_rng(0), sigma=-0.1)
+
     def test_clamp_matches_np_clip(self, monkeypatch, clamp_inputs):
         agent = new_agent(3, BOUNDS, seed=1)
         low, high = agent.action_bounds[:, 0], agent.action_bounds[:, 1]

@@ -15,6 +15,8 @@ from gridevade.gabor import (
     perturbation_vector,
 )
 
+from conftest import held_blocks
+
 DOMAIN = (0.0, 1.2, 0.0, math.log(10.0))
 EMPTY = GaborField(GaborKernelParams(), [], [], [])
 
@@ -147,6 +149,59 @@ class TestGaborField:
         assert np.array_equal(perturbation_vector(swapped, frame),
                               perturbation_vector(build_field(kernel, 20.0, DOMAIN, seed=3,
                                                               pad=3.0), frame))
+
+
+class TestKeptLayout:
+    """`with_kernel` fields of one layout share its bus-side envelope blocks."""
+
+    @staticmethod
+    def layout(seed=7):
+        return build_field(GaborKernelParams(), DEFAULT_IMPULSE_DENSITY, NOISE_DOMAIN,
+                           seed=seed, pad=LAYOUT_PAD)
+
+    def test_kept_layout_gives_the_bits_of_a_field_without_a_block(self):
+        layout = self.layout()
+        rng = np.random.default_rng(3)
+        children, blocks = [], {}
+        for i in range(12):
+            kernel = GaborKernelParams(sigma=rng.uniform(0.0, 2.0), F0=rng.uniform(0.0, 5.0),
+                                       omega0=rng.uniform(0.0, math.pi * 0.999))
+            field = layout.with_kernel(kernel)
+            children.append(field)
+            frame = rng.uniform(-1.2, 1.2, 9 if i % 2 == 0 else 5)
+            copy = GaborField(kernel, field.x, field.y, field.weight)
+            assert (perturbation_vector(field, frame).tobytes()
+                    == perturbation_vector(copy, frame).tobytes())
+            assert held_blocks(copy) == []
+            block = field._bus_dy2[len(frame)]
+            assert blocks.setdefault(len(frame), block) is block
+        assert all(field._bus_dy2 is layout._bus_dy2 for field in children)
+        assert sorted(layout._bus_dy2) == [5, 9]
+        for buses, block in layout._bus_dy2.items():
+            d = gabor._bus_ordinates(buses)[:, None] - layout.y
+            assert block.tobytes() == (d * d).tobytes()
+            assert not block.flags.writeable
+
+    def test_block_is_made_by_the_first_evaluation(self):
+        layout = self.layout()
+        field = layout.with_kernel(GaborKernelParams(sigma=0.5, F0=2.0))
+        assert field._bus_dy2 == {} and held_blocks(layout) == []
+        perturbation_vector(field, np.ones(9))
+        assert len(held_blocks(layout)) == 1
+
+    def test_a_field_used_once_holds_no_block(self):
+        field = build_field(GaborKernelParams(sigma=0.5, F0=2.0), DEFAULT_IMPULSE_DENSITY,
+                            NOISE_DOMAIN, seed=7, pad=LAYOUT_PAD)
+        for buses in (9, 5, 9):
+            perturbation_vector(field, np.ones(buses))
+        assert held_blocks(field) == []
+
+    def test_evaluate_field_reads_no_block(self):
+        # Arbitrary query points are not the bus ordinates: the inline path.
+        field = self.layout().with_kernel(GaborKernelParams(sigma=0.5, F0=2.0))
+        x, y = np.linspace(0.0, 1.2, 9), np.linspace(0.0, 2.0, 9)
+        evaluate_field(field, x, y)
+        assert field._bus_dy2 == {}
 
 
 class TestEvaluateField:
