@@ -52,12 +52,12 @@ def _layout(density: float, seed: int) -> gabor.GaborField:
     """The impulse layout of `seed`, under a placeholder kernel.
 
     With a fixed pad, `build_field` never reads the kernel, so one draw
-    serves every action; the last layout is kept for the next step, env or
-    episode that asks for the same seed. The step fields it hands out
-    through `with_kernel` share its bus-side envelope term, the
-    (bus, impulse) block (ln(i+1) - y_i)**2, which the first step computes
-    and the later ones read. A `per-step` field skips this cache and holds
-    no block.
+    serves every action: `AttackEnv.reset` holds it for the episode's
+    steps, and the last layout is kept for the next env or episode that
+    asks for the same seed. The step fields it hands out through
+    `with_kernel` share its bus-side envelope term, the (bus, impulse)
+    block (ln(i+1) - y_i)**2, which the first step computes and the later
+    ones read. A `per-step` field skips this cache and holds no block.
     """
     return gabor.build_field(gabor.GaborKernelParams(), density, NOISE_DOMAIN,
                              seed=seed, pad=LAYOUT_PAD)
@@ -204,7 +204,6 @@ class AttackEnv:
         self.exp_clamp_count = 0
         self._clamp_counter = [0]
         self._episode = -1
-        self._done = True
 
         self.trace = generate_trace(scenario)
         t0 = self.window - 1
@@ -217,29 +216,23 @@ class AttackEnv:
         if self.t_f < 1:
             raise ValueError("trace too short for one environment step")
         self._t0 = t0
+        self._step_idx = self.t_f  # no episode yet: `step` raises until `reset`
         # Clean posteriors of frames t0..end.
         self.clean_posterior = det.posterior_series(self.detector, self.trace)
 
     # -- internal helpers -------------------------------------------------
 
-    def _field_seed(self) -> int:
-        policy = self.config.field_seed_policy
-        if policy == "fixed":
-            return self.config.field_seed
-        if policy == "per-episode":
-            return self._episode_field_seed
-        return int(np.random.SeedSequence(
-            [self.seed, self._episode, self._step_idx]).generate_state(1)[0])
-
     def _build_field(self, action) -> gabor.GaborField:
         sigma, f0, omega0 = (float(a) for a in action)
         kernel = gabor.GaborKernelParams(K=self.config.kernel_magnitude,
                                          sigma=sigma, F0=f0, omega0=omega0)
-        density, seed = self.config.impulse_density, self._field_seed()
-        if self.config.field_seed_policy == "per-step":
-            # Every step has a new seed: a kept layout would never be reused.
-            return gabor.build_field(kernel, density, NOISE_DOMAIN, seed=seed, pad=LAYOUT_PAD)
-        return _layout(density, seed).with_kernel(kernel)
+        if self._episode_layout is not None:
+            return self._episode_layout.with_kernel(kernel)
+        # per-step: every step has a new seed, so a kept layout would never be reused.
+        seed = int(np.random.SeedSequence(
+            [self.seed, self._episode, self._step_idx]).generate_state(1)[0])
+        return gabor.build_field(kernel, self.config.impulse_density, NOISE_DOMAIN,
+                                 seed=seed, pad=LAYOUT_PAD)
 
     def _attacked_posterior(self, t: int) -> float:
         feats = det.featurize_window(self._compromised[t - self.window + 1 : t + 1])
@@ -258,10 +251,13 @@ class AttackEnv:
         """Start a fresh episode on the (fixed) scenario trace."""
         self._episode += 1
         self._step_idx = 0
-        if self.config.field_seed_policy == "per-episode":
-            self._episode_field_seed = int(
+        policy = self.config.field_seed_policy
+        if policy == "per-step":
+            self._episode_layout = None
+        else:
+            seed = self.config.field_seed if policy == "fixed" else int(
                 np.random.SeedSequence([self.seed, self._episode]).generate_state(1)[0])
-        self._done = False
+            self._episode_layout = _layout(self.config.impulse_density, seed)
         self._compromised = self.trace.frames.copy()
         frames = np.arange(self._t0 + 1, self._t0 + 1 + self.t_f)
         labels = self.trace.labels[frames]
@@ -284,7 +280,7 @@ class AttackEnv:
 
     def step(self, action) -> StepOutcome:
         """Apply one perturbation action to the next frame."""
-        if self._done:
+        if self._step_idx >= self.t_f:
             raise EpisodeDone("episode is over; call reset()")
         action, was_clamped = self.clamp_action(action)
         row = self._step_idx
@@ -312,7 +308,6 @@ class AttackEnv:
         rec["attacked_posterior"][row] = p_attacked
         rec["perturbations"][row] = n
 
-        self._done = self._step_idx >= self.t_f
         next_state = AgentState(x=np.abs(clean_frame), n=n, c=c_next)
         info = {
             "frame": t,
@@ -323,7 +318,8 @@ class AttackEnv:
             "clean_posterior": float(rec["clean_posterior"][row]),
             "attacked_posterior": p_attacked,
         }
-        return StepOutcome(next_state=next_state, reward=r, done=self._done, info=info)
+        return StepOutcome(next_state=next_state, reward=r, done=self._step_idx >= self.t_f,
+                           info=info)
 
     def record(self) -> dict:
         """Copy of the episode record, plus `max_abs_n` and `compromised_frames`.

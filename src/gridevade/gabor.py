@@ -22,12 +22,9 @@ depends only on the layout. A layout that is kept and re-kerneled through
 with every field it hands out; `perturbation_vector` adds it where it
 would otherwise build it, so each element takes the same operations in
 the same order and the bits do not change. A field used once, as
-`build_field` returns it, holds no block. On the ~1,390 impulses of the
-shipped padded layout (1 BLAS thread, shared 2-vCPU x86-64) the
-benchmark's traced `gabor.perturbation_vector.us` reads about 162 us on a
-kept layout (`train_attacker`) and 170 us when every step draws a new
-layout (`evaluate_per_step`). `build_field` gives the field its own fresh
-draws as read-only columns, without copying or re-checking them.
+`build_field` returns it, holds no block. `build_field` gives the field
+its own fresh draws as read-only columns, without copying or re-checking
+them.
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ class TraceScenario:
     dt: float
     horizon: float
     fault_start: float
-    fault_bus: int
     fault_depth: float
     fault_freq: float
     fault_damping: float

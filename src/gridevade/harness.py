@@ -148,7 +148,6 @@ _RULES = (
      "be null or a file name"),
     ("scenario.dt", *_POSITIVE),
     ("scenario.fault_start", *_at_least(0)),
-    ("scenario.fault_bus", *_at_least(0)),
     ("scenario.fault_depth", *_at_least(0)),
     ("scenario.fault_freq", *_at_least(0)),
     ("scenario.fault_damping", *_at_least(0)),
@@ -165,10 +164,12 @@ _RULES = (
         type(pair) is list and len(pair) == 2
         and all(type(b) in (int, float) and math.isfinite(b) for b in pair) for pair in bounds),
      f"be {ACTION_DIM} [low, high] pairs of finite numbers"),
-    # Tested only once the row above has passed, so it may unpack and index the pairs.
+    # Tested only once the first row has passed, so they may unpack and index the pairs.
     ("attack.action_bounds", lambda bounds: all(low < high for low, high in bounds)
      and 0 <= bounds[2][0] and bounds[2][1] < math.pi,
      "have low < high in each pair and omega0 bounds inside [0, pi)"),
+    ("attack.action_bounds", lambda bounds: bounds[0][0] >= 0 and bounds[1][0] >= 0,
+     "have sigma and F0 lows >= 0"),
     ("attack.impulse_density",
      lambda density: density is None or (type(density) in (int, float) and density > 0),
      "be null or a number > 0"),
@@ -195,12 +196,10 @@ def _check_values(raw: dict, case: BusCase) -> TraceScenario:
     """Reject values that only the case or several keys together rule out, and
     return the scenario of the checked values."""
     sc = raw["scenario"]
-    for key, limit, name in (("dt", sc["horizon"], "'scenario.horizon'"),
-                             ("fault_start", sc["horizon"], "'scenario.horizon'"),
-                             ("fault_bus", case.bus_count, "the case's bus count")):
-        if not sc[key] < limit:
-            raise ValueError(
-                f"config key 'scenario.{key}' ({sc[key]}) must be less than {name} ({limit})")
+    for key in ("dt", "fault_start"):
+        if not sc[key] < sc["horizon"]:
+            raise ValueError(f"config key 'scenario.{key}' ({sc[key]}) must be less than "
+                             f"'scenario.horizon' ({sc['horizon']})")
     scenario = TraceScenario(case=case, seed=raw["master_seed"], **sc)
     dc = raw["detector"]
     if not 1 <= dc["window"] < scenario.n_frames:

@@ -261,6 +261,11 @@ class TestStep:
             make_env(default_scenario, trained_detector,
                      reward_params=reward_params(horizon_frames=steps + 1))
 
+    def test_step_before_reset_raises(self, default_scenario, trained_detector):
+        env = make_env(default_scenario, trained_detector)
+        with pytest.raises(EpisodeDone):
+            env.step(self.ACTION)
+
     def test_step_after_done_raises(self, default_scenario, trained_detector):
         env = make_env(default_scenario, trained_detector)
         env.reset()
@@ -406,8 +411,8 @@ class TestFieldLayout:
 
     def test_per_episode_seed_is_drawn_at_reset(self, default_scenario, trained_detector,
                                                 monkeypatch):
-        # Every step of an episode reads its layout under the episode's seed,
-        # and no step builds a SeedSequence to find it.
+        # Each reset takes one layout, under the episode's seed, for every
+        # step of the episode, and no step builds a SeedSequence to find it.
         layout, seed_sequence = attack_env._layout, np.random.SeedSequence
         seeds, sequences = [], []
 
@@ -425,13 +430,12 @@ class TestFieldLayout:
                        field_seed_policy="per-episode",
                        reward_params=reward_params(horizon_frames=self.STEPS))
         for episode in range(self.EPISODES):
-            env.reset()
             seeds.clear()
+            env.reset()
             sequences.clear()
             for _ in range(env.t_f):
                 env.step(np.array([0.5, 1.0, 0.3]))
-            want = int(seed_sequence([4, episode]).generate_state(1)[0])
-            assert seeds == [want] * self.STEPS
+            assert seeds == [int(seed_sequence([4, episode]).generate_state(1)[0])]
             assert sequences == []
 
     @pytest.mark.parametrize("policy, draws", [

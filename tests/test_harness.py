@@ -34,6 +34,19 @@ FAULT_REFUSAL = ("config key 'scenario.fault_start' ({got}) must lie after the f
 HORIZON_REFUSAL = ("config key 'attack.reward.horizon_frames' must be null or an int from 1 "
                    "to {steps}, the frames a trace has after its first detector window; "
                    "got {got}")
+README = Path(__file__).parents[1] / "README.md"
+
+
+def shipped_keys(leaves_only=False) -> set:
+    """Dotted keys of the shipped config: every section and leaf, or only the leaves."""
+    def dotted(section, prefix):
+        for key, value in section.items():
+            if not (leaves_only and isinstance(value, dict)):
+                yield prefix + key
+            if isinstance(value, dict):
+                yield from dotted(value, prefix + key + ".")
+
+    return set(dotted(yaml.safe_load(harness._default_config_path().read_text()), ""))
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +112,7 @@ class TestConfig:
         ("training: {restrats: 2}", "unknown config key 'training.restrats'"),
         ("attack: {reward: {lam: 0.9}}", "unknown config key 'attack.reward.lam'"),
         ("seed: 3", "unknown config key 'seed'"),
+        ("scenario: {fault_bus: 4}", "unknown config key 'scenario.fault_bus'"),
         ("scenario: 3", "config section 'scenario' must be a mapping"),
         ("- 1", "config section '<root>' must be a mapping"),
         ("training: {restarts: two}", "config key 'training.restarts' must be int"),
@@ -286,6 +300,12 @@ class TestConfig:
         ("attack: {action_bounds: [[0.05, 2.0], [0.05, 5.0], [-0.1, 3.0]]}",
          "config key 'attack.action_bounds' must have low < high in each pair and omega0 bounds "
          "inside [0, pi), got [[0.05, 2.0], [0.05, 5.0], [-0.1, 3.0]]"),
+        ("attack: {action_bounds: [[-1.0, 2.0], [0.05, 5.0], [0.0, 3.0]]}",
+         "config key 'attack.action_bounds' must have sigma and F0 lows >= 0, "
+         "got [[-1.0, 2.0], [0.05, 5.0], [0.0, 3.0]]"),
+        ("attack: {action_bounds: [[0.05, 2.0], [-0.5, 5.0], [0.0, 3.0]]}",
+         "config key 'attack.action_bounds' must have sigma and F0 lows >= 0, "
+         "got [[0.05, 2.0], [-0.5, 5.0], [0.0, 3.0]]"),
     ])
     def test_bad_attack_value_names_its_path(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -306,9 +326,6 @@ class TestConfig:
         ("scenario: {fault_start: 9.95}", FAULT_REFUSAL.format(got=9.95, first=0.9)),
         ("{scenario: {fault_start: 0}, detector: {window: 1}}",
          FAULT_REFUSAL.format(got=0.0, first=0)),
-        ("scenario: {fault_bus: 12}",
-         "config key 'scenario.fault_bus' (12) must be less than the case's bus count (9)"),
-        ("scenario: {fault_bus: -1}", "config key 'scenario.fault_bus' must be >= 0, got -1"),
         ("scenario: {fault_depth: -0.1}",
          "config key 'scenario.fault_depth' must be >= 0, got -0.1"),
         ("scenario: {fault_freq: -1.5}", "config key 'scenario.fault_freq' must be >= 0, got -1.5"),
@@ -321,14 +338,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load_text(tmp_path, text + "\n")
 
+    @pytest.mark.parametrize("key", sorted(load_config().raw["scenario"]))
+    def test_every_scenario_key_changes_the_trace(self, tmp_path, key):
+        """A scenario key that reads differently must give another trace."""
+        cfg = load_config()
+        value = cfg.raw["scenario"][key]
+        changed = value + 1 if type(value) is int else value * 1.1
+        varied = self.load_text(tmp_path, yaml.safe_dump({"scenario": {key: changed}}))
+        a, b = generate_trace(cfg.scenario), generate_trace(varied.scenario)
+        assert not all(np.array_equal(getattr(a, name), getattr(b, name))
+                       for name in ("times", "frames", "labels"))
+
     def test_scenario_value_limits_are_accepted(self, tmp_path):
         cfg = self.load_text(
-            tmp_path, "{scenario: {fault_start: 1.0e-9, fault_bus: 8, fault_depth: 0, "
+            tmp_path, "{scenario: {fault_start: 1.0e-9, fault_depth: 0, "
                       "fault_freq: 0, fault_damping: 0, sensor_noise_std: 0}, "
                       "detector: {window: 1}}\n")
         assert cfg.scenario.fault_start == 1e-9
         assert cfg.scenario.fault_damping == 0.0
-        assert cfg.scenario.fault_bus == 8
 
     @pytest.mark.parametrize("fault_start", [0.85, 0.9, 0.95, 5.4, 9.85, 9.9, 9.95])
     def test_fault_start_is_refused_when_one_label_has_no_window(self, tmp_path,
@@ -411,48 +438,43 @@ class TestConfig:
 
     def test_readme_names_every_refused_key(self):
         """Every config key that a value-refusal case above names is in the README."""
-        def dotted(section, prefix=""):
-            for key, value in section.items():
-                yield prefix + key
-                if isinstance(value, dict):
-                    yield from dotted(value, prefix + key + ".")
-
-        known = set(dotted(yaml.safe_load(harness._default_config_path().read_text())))
         messages = [HORIZON_REFUSAL] + [
             case[1] for name, test in vars(TestConfig).items()
             if name != "test_bad_key_names_its_path"
             for mark in getattr(test, "pytestmark", [])
             if mark.name == "parametrize" and "message" in mark.args[0]
             for case in mark.args[1]]
-        named = {key for m in messages for key in re.findall(r"'([^']*)'", m)} & known
+        named = {key for m in messages for key in re.findall(r"'([^']*)'", m)} & shipped_keys()
         assert {"master_seed", "detector.window", "training.buffer_capacity",
                 "attack.reward.horizon_frames"} <= named
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        readme = README.read_text()
         assert sorted(key for key in named if f"`{key}`" not in readme) == []
+
+    def test_readme_refusal_list_names_only_shipped_keys(self):
+        """Every dotted key in the README's list of refused values is a shipped
+        key, so a key deleted from the config leaves no stale rule there."""
+        refusals = README.read_text().split("refused the same way, by their dotted key:\n\n",
+                                            1)[1].split("\n\n", 1)[0]
+        listed = set(re.findall(r"`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`", refusals))
+        assert {"scenario.dt", "attack.action_bounds", "evaluation.episodes"} <= listed
+        assert sorted(listed - shipped_keys()) == []
 
     def test_every_shipped_key_has_a_rule(self):
         """Each leaf key of the shipped config is checked by a `_RULES` row or a
         rule of several keys in `_check_values`, or takes any value of its type;
         the README names each `_RULES` key."""
         several = {"scenario.dt", "scenario.horizon", "scenario.fault_start",
-                   "scenario.fault_bus", "detector.window", "detector.train_traces",
+                   "detector.window", "detector.train_traces",
                    "detector.split_ratio", "attack.access_mask",
                    "attack.reward.horizon_frames", "training.episodes", "training.batch_size",
                    "training.buffer_capacity", "training.warmup"}
         any_value = {"attack.reward.k0", "attack.reward.penalty_abs"}
-        def dotted_leaves(section, prefix=""):
-            for key, value in section.items():
-                if isinstance(value, dict):
-                    yield from dotted_leaves(value, prefix + key + ".")
-                else:
-                    yield prefix + key
-
-        leaves = set(dotted_leaves(yaml.safe_load(harness._default_config_path().read_text())))
+        leaves = shipped_keys(leaves_only=True)
         ruled = {key for key, _, _ in harness._RULES}
         assert ruled | several | any_value <= leaves
         assert not any_value & (ruled | several)
         assert sorted(leaves - ruled - several - any_value) == []
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        readme = README.read_text()
         assert sorted(key for key in ruled if f"`{key}`" not in readme) == []
 
     def test_every_init_field_is_set_from_a_shipped_key(self):
@@ -595,13 +617,16 @@ class TestSimulate:
         p2 = cmd_simulate(cfg, tmp_path / "b")[0]
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_invalid_fault_bus_fails_via_cli(self, fast_config, tmp_path):
+    def test_fault_start_past_horizon_fails_via_cli(self, fast_config, tmp_path, capsys):
         raw = yaml.safe_load(fast_config.read_text())
-        raw["scenario"]["fault_bus"] = 12
+        raw["scenario"]["fault_start"] = raw["scenario"]["horizon"]
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(raw))
-        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
-        assert rc != 0
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert ("error: config key 'scenario.fault_start' (10.0) must be less than "
+                "'scenario.horizon' (10.0)") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
