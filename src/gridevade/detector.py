@@ -92,20 +92,20 @@ def featurize_window(frames) -> np.ndarray:
 def train_detector(train_set, config: DetectorConfig, bus_count: int):
     """Minimize binary cross-entropy with mini-batch Adam.
 
-    `train_set` is a list of (window_frames, label) pairs as produced by
-    grid_traces.split_dataset. Returns (DetectorModel, final_loss): the
-    mean mini-batch binary cross-entropy of the last epoch, NaN at 0 epochs.
+    `train_set` is a grid_traces.WindowSet, as split_dataset returns it.
+    Returns (DetectorModel, final_loss): the mean mini-batch binary
+    cross-entropy of the last epoch, NaN at 0 epochs.
     """
     if not train_set:
         raise ValueError("empty training set")
-    # featurize_window's arithmetic, in place on the fresh stack: one
-    # (n, window, bus) block instead of two. Whether a second one got fresh
-    # pages depended on the heap's history, so a call's cost varied by run.
-    X = np.stack([w for w, _ in train_set]).astype(float, copy=False)
+    # featurize_window's arithmetic, in place on the one fresh block that
+    # stack() returns: a second (n, window, bus) block would get fresh pages
+    # or not by the heap's history, so a call's cost would vary by run.
+    X = train_set.stack()
     X -= NORM_CENTER
     X /= NORM_SCALE
     X = X.reshape(len(X), -1)
-    y = np.array([lbl for _, lbl in train_set], dtype=float)
+    y = train_set.labels.astype(float)
     if len(np.unique(y)) < 2:
         raise ValueError("training set contains a single class; need both labels")
 

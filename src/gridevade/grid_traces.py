@@ -23,6 +23,7 @@ __all__ = [
     "load_case",
     "default_case",
     "windows",
+    "WindowSet",
     "split_dataset",
 ]
 
@@ -174,11 +175,40 @@ def windows(frames: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(frames, window, axis=0).swapaxes(1, 2)
 
 
-def split_dataset(traces, window: int, ratio: float, seed: int = 0):
-    """Split traces into train/test sets of labeled sliding windows.
+@dataclass(frozen=True)
+class WindowSet:
+    """Labeled sliding windows of some traces, held as the traces' frames.
 
-    Each window is a (window, bus_count) frame block labeled by its final
-    frame. The split is at trace level, seeded and disjoint.
+    Iterating gives one (window view, label) pair per full window of each
+    trace, trace by trace in order; the label is that of the window's
+    final frame. No window is copied until `stack` is called.
+    """
+
+    frames: tuple        # one (n_frames, bus_count) array per trace
+    window: int
+    labels: np.ndarray   # (n,) label of each window, in iteration order
+
+    def __post_init__(self):
+        count = sum(len(f) - self.window + 1 for f in self.frames)
+        if len(self.labels) != count:
+            raise ValueError(f"{len(self.labels)} labels for {count} windows")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        rows = (row for f in self.frames for row in windows(f, self.window))
+        return zip(rows, self.labels.tolist())
+
+    def stack(self) -> np.ndarray:
+        """A fresh (n, window, bus_count) float array of every window, in
+        iteration order; the set must not be empty."""
+        return np.concatenate([windows(f, self.window) for f in self.frames], dtype=float)
+
+
+def split_dataset(traces, window: int, ratio: float, seed: int = 0):
+    """Split traces into train/test `WindowSet`s at trace level, seeded and
+    disjoint. A split that rounding leaves without a trace is an empty set.
     """
     if not (0 < ratio < 1):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
@@ -192,7 +222,8 @@ def split_dataset(traces, window: int, ratio: float, seed: int = 0):
     n_train = int(round(ratio * len(traces)))
 
     def windows_of(idx):
-        return [pair for k in idx for pair in zip(
-            windows(traces[k].frames, window), traces[k].labels[window - 1:].tolist())]
+        labels = [traces[k].labels[window - 1:] for k in idx]
+        return WindowSet(frames=tuple(traces[k].frames for k in idx), window=window,
+                         labels=np.concatenate(labels) if labels else np.zeros(0, dtype=int))
 
     return windows_of(order[:n_train]), windows_of(order[n_train:])

@@ -17,7 +17,13 @@ from gridevade.detector import (
     save_detector,
     train_detector,
 )
-from gridevade.grid_traces import MeasurementTrace, generate_trace, split_dataset, windows
+from gridevade.grid_traces import (
+    MeasurementTrace,
+    WindowSet,
+    generate_trace,
+    split_dataset,
+    windows,
+)
 
 from conftest import DELAY_CASES, shipped
 
@@ -25,6 +31,12 @@ from conftest import DELAY_CASES, shipped
 def detector_config(**kw):
     """The shipped detector config at seed 0, with `kw` laid over it."""
     return replace(shipped().detector_config, **{"seed": 0, **kw})
+
+
+def window_set(pairs, window):
+    """A training set of hand-built (window, bus) blocks, each its own trace."""
+    blocks, labels = zip(*pairs)
+    return WindowSet(frames=blocks, window=window, labels=np.array(labels))
 
 
 def zero_weight_model(window=10, bus_count=9):
@@ -90,7 +102,7 @@ class TestTrainDetector:
     def test_single_class_rejected(self):
         windows = [(np.ones((5, 3)), 0) for _ in range(20)]
         with pytest.raises(ValueError, match="single class"):
-            train_detector(windows, detector_config(window=5), bus_count=3)
+            train_detector(window_set(windows, 5), detector_config(window=5), bus_count=3)
 
     def test_linearly_separable_toy(self):
         rng = np.random.default_rng(0)
@@ -100,7 +112,7 @@ class TestTrainDetector:
             base = 1.0 - 0.05 * lbl  # sagged windows labeled 1
             windows.append((base + rng.normal(0, 0.002, size=(5, 3)), lbl))
         cfg = detector_config(window=5, hidden=(8,), epochs=200, seed=0)
-        model, _ = train_detector(windows, cfg, bus_count=3)
+        model, _ = train_detector(window_set(windows, 5), cfg, bus_count=3)
         correct = sum(
             (posterior(model, featurize_window(w)) >= 0.5) == bool(lbl)
             for w, lbl in windows)
@@ -111,8 +123,8 @@ class TestTrainDetector:
         windows = [(1.0 + rng.normal(0, 0.01, size=(3, 2)), int(i % 2))
                    for i in range(40)]
         cfg = detector_config(window=3, hidden=(4,), epochs=10, seed=7)
-        m1, l1 = train_detector(windows, cfg, bus_count=2)
-        m2, l2 = train_detector(windows, cfg, bus_count=2)
+        m1, l1 = train_detector(window_set(windows, 3), cfg, bus_count=2)
+        m2, l2 = train_detector(window_set(windows, 3), cfg, bus_count=2)
         assert l1 == l2
         assert all(np.array_equal(a, b) for a, b in zip(m1.net.weights, m2.net.weights))
 
@@ -135,11 +147,43 @@ class TestTrainDetector:
         train_detector(train_set, detector_config(hidden=(4,), epochs=1), bus_count=9)
         assert np.array_equal(trace.frames, before)
 
+    def test_empty_set_rejected(self, default_scenario):
+        trace = generate_trace(default_scenario)
+        train_set, _ = split_dataset([trace, trace], 10, 0.2, seed=0)
+        with pytest.raises(ValueError, match="empty training set"):
+            train_detector(train_set, detector_config(), bus_count=9)
+
+    def test_featurises_the_set_stack_and_labels(self, default_scenario, monkeypatch):
+        """One full-set batch holds each window once, as featurize_window of
+        np.stack over the set's pairs, and scores it against the pairs' labels."""
+        traces = [generate_trace(default_scenario.with_seed(s)) for s in range(3)]
+        train_set, _ = split_dataset(traces, 10, 0.67, seed=4)
+        pairs = list(train_set)
+        expected = featurize_window(np.stack([w for w, _ in pairs]))
+        label_of = {row.tobytes(): lbl for row, (_, lbl) in zip(expected, pairs)}
+        calls = []
+        forward_full = neural.forward_full
+
+        def spy(net, x):
+            out, cache = forward_full(net, x)
+            calls.append((x.copy(), out[:, 0].copy()))
+            return out, cache
+
+        monkeypatch.setattr(neural, "forward_full", spy)
+        cfg = detector_config(hidden=(4,), epochs=1, batch_size=len(pairs))
+        _, loss = train_detector(train_set, cfg, bus_count=9)
+        ((xb, out),) = calls
+        assert sorted(r.tobytes() for r in xb) == sorted(label_of)
+        y = np.array([label_of[r.tobytes()] for r in xb], dtype=float)
+        p = np.clip(out, 1e-7, 1 - 1e-7)
+        assert loss == float(np.mean(-y * np.log(p) - (1 - y) * np.log(1 - p)))
+
     def test_zero_epochs_give_nan_loss_without_warning(self):
         windows = [(1.0 + 0.01 * i * np.ones((3, 2)), i % 2) for i in range(8)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, loss = train_detector(windows, detector_config(window=3, epochs=0), bus_count=2)
+            _, loss = train_detector(window_set(windows, 3), detector_config(window=3, epochs=0),
+                                     bus_count=2)
         assert np.isnan(loss)
 
     def test_default_scenario_holdout_accuracy(self, trained_detector, default_scenario):

@@ -5,6 +5,7 @@ import pytest
 
 from gridevade.grid_traces import (
     BusCase,
+    WindowSet,
     default_case,
     generate_trace,
     load_case,
@@ -134,7 +135,7 @@ class TestSplitDataset:
         prefault = type(tr)(times=tr.times[:50], frames=tr.frames[:50],
                             labels=tr.labels[:50])
         train, test = split_dataset([prefault, prefault], window=5, ratio=0.5)
-        assert all(lbl == 0 for _, lbl in train + test)
+        assert all(lbl == 0 for _, lbl in [*train, *test])
 
     def test_too_short_trace_rejected(self):
         tr = generate_trace(scenario())
@@ -146,11 +147,52 @@ class TestSplitDataset:
         tr = generate_trace(scenario())
         train, test = split_dataset([tr], window=10, ratio=0.99)
         # windows ending right before/at the fault carry the final-frame label
-        for frames, lbl in train + test:
+        pairs = [*train, *test]
+        for frames, lbl in pairs:
             assert frames.shape == (10, 9)
-        assert [lbl for _, lbl in train + test] == tr.labels[9:].tolist()
+        assert [lbl for _, lbl in pairs] == tr.labels[9:].tolist()
         assert all(np.array_equal(frames, tr.frames[i : i + 10])
-                   for i, (frames, _) in enumerate(train + test))
+                   for i, (frames, _) in enumerate(pairs))
+
+    @pytest.mark.parametrize("ratio", [0.2, 0.8])
+    def test_split_without_a_trace_is_an_empty_set(self, ratio):
+        """Rounding can leave a split no trace; that split is an empty, falsy
+        set that iterates as nothing."""
+        train, test = split_dataset(self.make_traces(2), window=10, ratio=ratio)
+        empty, full = (train, test) if ratio < 0.5 else (test, train)
+        assert not empty and len(empty) == 0 and list(empty) == []
+        assert empty.frames == () and empty.labels.shape == (0,)
+        assert full and len(full) == 2 * 91
+
+    def test_set_refuses_labels_that_miss_a_window(self):
+        frames = (np.ones((12, 2)), np.ones((10, 2)))
+        assert len(WindowSet(frames=frames, window=10, labels=np.zeros(4, dtype=int))) == 4
+        with pytest.raises(ValueError, match="3 labels for 4 windows"):
+            WindowSet(frames=frames, window=10, labels=np.zeros(3, dtype=int))
+
+    def test_iteration_gives_each_trace_windows_in_split_order(self):
+        """A split of traces of two lengths iterates as the rows of each
+        trace's `windows` zipped with its final-frame labels, trace by trace
+        in the seeded split order; `stack` is those rows as one fresh block."""
+        w = 10
+        long = self.make_traces(3)
+        short = [type(tr)(times=tr.times[:40], frames=tr.frames[:40], labels=tr.labels[:40])
+                 for tr in self.make_traces(3, seed0=3)]
+        traces = [t for pair in zip(long, short) for t in pair]
+        order = np.random.default_rng(5).permutation(len(traces))
+        train, test = split_dataset(traces, window=w, ratio=0.5, seed=5)
+        for s, idx in ((train, order[:3]), (test, order[3:])):
+            expected = [(row, lbl) for k in idx for row, lbl in
+                        zip(windows(traces[k].frames, w), traces[k].labels[w - 1:].tolist())]
+            pairs = list(s)
+            assert len(s) == len(pairs) == len(expected)
+            assert all(np.array_equal(a, b) and la == lb and type(la) is int
+                       for (a, la), (b, lb) in zip(pairs, expected))
+            block = s.stack()
+            assert np.array_equal(block, np.stack([row for row, _ in s]))
+            assert s.labels.tolist() == [lbl for _, lbl in s]
+            assert not np.shares_memory(block, traces[order[0]].frames)
+        assert {len(traces[k].frames) for k in order[:3]} == {40, 100}
 
 
 class TestWindows:
