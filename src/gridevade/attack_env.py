@@ -52,9 +52,9 @@ def _layout(density: float, seed: int) -> gabor.GaborField:
     """The impulse layout of `seed`, under a placeholder kernel.
 
     With a fixed pad, `build_field` never reads the kernel, so one draw
-    serves every action: `AttackEnv.reset` holds it for the episode's
-    steps, and the last layout is kept for the next env or episode that
-    asks for the same seed. The step fields it hands out through
+    serves every action: under `fixed`, `AttackEnv.reset` holds it for the
+    episode's steps, and the last layout is kept for every later env and
+    episode of the same field seed. The step fields it hands out through
     `with_kernel` share its bus-side envelope term, the (bus, impulse)
     block (ln(i+1) - y_i)**2, which the first step computes and the later
     ones read. A `per-step` field skips this cache and holds no block.
@@ -63,7 +63,7 @@ def _layout(density: float, seed: int) -> gabor.GaborField:
                              seed=seed, pad=LAYOUT_PAD)
 
 
-FIELD_SEED_POLICIES = ("fixed", "per-episode", "per-step")
+FIELD_SEED_POLICIES = ("fixed", "per-step")
 
 
 def _domain_area(domain) -> float:
@@ -95,8 +95,8 @@ class AttackConfig:
     action_bounds: tuple
     reward_params: RewardParams
     impulse_density: float
-    field_seed_policy: str  # fixed | per-episode | per-step
-    field_seed: int         # used by the fixed policy
+    field_seed_policy: str  # fixed | per-step
+    field_seed: int         # seeds the layout under both policies
     kernel_magnitude: ClassVar[float] = 1.0  # the Gabor kernel's K; not a setting
 
     def __post_init__(self):
@@ -201,12 +201,11 @@ class AttackEnv:
             raise ValueError("access_mask length does not match bus_count")
         self._hidden_buses = np.flatnonzero(~self.access_mask)
         self._action_low, self._action_high = np.asarray(config.action_bounds, dtype=float).T
-        self.exp_clamp_count = 0
         self._clamp_counter = [0]
         self._episode = -1
 
         self.trace = generate_trace(scenario)
-        t0 = self.window - 1
+        self._t0 = self.window - 1
         max_steps = self.trace.n_frames - self.window
         hf = config.reward_params.horizon_frames
         if hf is not None and hf > max_steps:
@@ -215,7 +214,6 @@ class AttackEnv:
         self.t_f = max_steps if hf is None else hf
         if self.t_f < 1:
             raise ValueError("trace too short for one environment step")
-        self._t0 = t0
         self._step_idx = self.t_f  # no episode yet: `step` raises until `reset`
         # Clean posteriors of frames t0..end.
         self.clean_posterior = det.posterior_series(self.detector, self.trace)
@@ -229,14 +227,9 @@ class AttackEnv:
         if self._episode_layout is not None:
             return self._episode_layout.with_kernel(kernel)
         # per-step: every step has a new seed, so a kept layout would never be reused.
-        seed = int(np.random.SeedSequence(
-            [self.seed, self._episode, self._step_idx]).generate_state(1)[0])
+        seed = (self.config.field_seed, self.seed, self._episode, self._step_idx)
         return gabor.build_field(kernel, self.config.impulse_density, NOISE_DOMAIN,
                                  seed=seed, pad=LAYOUT_PAD)
-
-    def _attacked_posterior(self, t: int) -> float:
-        feats = det.featurize_window(self._compromised[t - self.window + 1 : t + 1])
-        return det.posterior(self.detector, feats)
 
     def clamp_action(self, action) -> tuple[np.ndarray, bool]:
         a = np.asarray(action, dtype=float)
@@ -247,17 +240,17 @@ class AttackEnv:
 
     # -- public API -------------------------------------------------------
 
+    @property
+    def exp_clamp_count(self) -> int:
+        """Exponent clamps of `reward` over every step of this env."""
+        return self._clamp_counter[0]
+
     def reset(self) -> AgentState:
         """Start a fresh episode on the (fixed) scenario trace."""
         self._episode += 1
         self._step_idx = 0
-        policy = self.config.field_seed_policy
-        if policy == "per-step":
-            self._episode_layout = None
-        else:
-            seed = self.config.field_seed if policy == "fixed" else int(
-                np.random.SeedSequence([self.seed, self._episode]).generate_state(1)[0])
-            self._episode_layout = _layout(self.config.impulse_density, seed)
+        self._episode_layout = (_layout(self.config.impulse_density, self.config.field_seed)
+                                if self.config.field_seed_policy == "fixed" else None)
         self._compromised = self.trace.frames.copy()
         frames = np.arange(self._t0 + 1, self._t0 + 1 + self.t_f)
         labels = self.trace.labels[frames]
@@ -296,12 +289,12 @@ class AttackEnv:
             n[self._hidden_buses] = 0.0
         self._compromised[t] = clean_frame + n
 
-        p_attacked = self._attacked_posterior(t)
+        feats = det.featurize_window(self._compromised[t - self.window + 1 : t + 1])
+        p_attacked = det.posterior(self.detector, feats)
         label = int(rec["label"][row])
         c_next = misdirection(label, p_attacked)
         r = reward(c_next, clean_frame, n, self.config.reward_params,
                    clamp_counter=self._clamp_counter)
-        self.exp_clamp_count = self._clamp_counter[0]
 
         rec["reward"][row] = r
         rec["c"][row] = c_next

@@ -192,8 +192,9 @@ def save_detector(model: DetectorModel, path) -> None:
 
 
 def load_detector(path) -> DetectorModel:
-    net, meta = neural.load_checkpoint(path)
-    norm = (meta.get("norm_center"), meta.get("norm_scale"))
+    net, meta = neural.load_checkpoint(
+        path, ("window", "bus_count", "threshold", "norm_center", "norm_scale"))
+    norm = (meta["norm_center"], meta["norm_scale"])
     if norm != (NORM_CENTER, NORM_SCALE):
         raise ValueError(
             f"{path} was trained on features (v - {norm[0]}) / {norm[1]}, but this "

@@ -586,7 +586,7 @@ def _load_policy(cfg: RunConfig, out: Path) -> ddpg.Policy:
     actor_path = out / "actor.json"
     if not actor_path.exists():
         raise FileNotFoundError(f"missing actor checkpoint {actor_path}; run train-attacker first")
-    actor, meta = neural.load_checkpoint(actor_path)
+    actor, meta = neural.load_checkpoint(actor_path, ("action_bounds",))
     bounds = np.asarray(cfg.attack_config.action_bounds, dtype=float)
     if not np.array_equal(np.asarray(meta["action_bounds"], dtype=float), bounds):
         raise ValueError(

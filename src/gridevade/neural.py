@@ -303,6 +303,11 @@ def save_checkpoint(net: Mlp, path, extra: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
-def load_checkpoint(path) -> tuple[Mlp, dict]:
+def load_checkpoint(path, meta_keys=()) -> tuple[Mlp, dict]:
+    """The net at `path` and its meta, which must hold every key of `meta_keys`."""
     doc = json.loads(Path(path).read_text())
-    return net_from_dict(doc), doc.get("meta", {})
+    meta = doc.get("meta", {})
+    for key in meta_keys:
+        if key not in meta:
+            raise ValueError(f"{path} has no meta key {key!r}")
+    return net_from_dict(doc), meta

@@ -31,15 +31,13 @@ def reward_params(**kw):
 
 
 def make_env(scenario, model, seed=0, **cfg_kw):
-    """An env of the shipped attack config, but with per-episode field seeds
-    from field seed 0, omega0 up to pi(1 - 1e-9) and the reward less its
-    |.|; `cfg_kw` is laid over that."""
+    """An env of the shipped attack config (the `fixed` layout of field seed
+    7), but with omega0 up to pi(1 - 1e-9) and the reward less its |.|;
+    `cfg_kw` is laid over that."""
     config = shipped().attack_config
     config = replace(config, **{
         "action_bounds": (*config.action_bounds[:2], (0.0, math.pi * (1.0 - 1e-9))),
         "reward_params": reward_params(),
-        "field_seed_policy": "per-episode",
-        "field_seed": 0,
         **cfg_kw})
     return AttackEnv(scenario, model, config, seed=seed)
 
@@ -351,9 +349,16 @@ class TestStep:
             env.reset()
             return env.step(self.ACTION).info["perturbation"]
 
-        fixed = first_n("fixed")
-        per_ep = first_n("per-episode")
-        assert not np.array_equal(fixed, per_ep)
+        assert not np.array_equal(first_n("fixed"), first_n("per-step"))
+
+    def test_field_seed_changes_a_per_step_field(self, default_scenario, trained_detector):
+        def first_n(field_seed):
+            env = make_env(default_scenario, trained_detector, seed=4,
+                           field_seed_policy="per-step", field_seed=field_seed)
+            env.reset()
+            return env.step(self.ACTION).info["perturbation"]
+
+        assert not np.array_equal(first_n(7), first_n(8))
 
     def test_fixed_policy_repeats_layout_across_episodes(self, default_scenario,
                                                         trained_detector):
@@ -373,11 +378,9 @@ class TestFieldLayout:
 
     @staticmethod
     def policy_seed(env, episode, row):
-        policy = env.config.field_seed_policy
-        if policy == "fixed":
+        if env.config.field_seed_policy == "fixed":
             return env.config.field_seed
-        key = [env.seed, episode] + ([row + 1] if policy == "per-step" else [])
-        return int(np.random.SeedSequence(key).generate_state(1)[0])
+        return (env.config.field_seed, env.seed, episode, row + 1)
 
     def run(self, scenario, model, policy, env_seeds):
         """Step the envs in turn, each with its own random actions; yield
@@ -394,11 +397,11 @@ class TestFieldLayout:
                     action = rng.uniform([0.05, 0.05, 0.0], [2.0, 5.0, 3.0])
                     yield env, episode, row, env.step(action)
 
-    @pytest.mark.parametrize("policy", ["fixed", "per-episode", "per-step"])
+    @pytest.mark.parametrize("policy", ["fixed", "per-step"])
     def test_steps_match_a_freshly_drawn_layout(self, default_scenario, trained_detector,
                                                 policy):
-        # Two envs stepped in turn: under per-episode and per-step their
-        # seeds differ, so each step asks for another layout than the last.
+        # Two envs stepped in turn: under per-step their seeds differ, so
+        # each step asks for another layout than the last.
         for env, episode, row, out in self.run(default_scenario, trained_detector, policy,
                                                (4, 5)):
             sigma, f0, omega0 = out.info["action"]
@@ -409,38 +412,8 @@ class TestFieldLayout:
             want = gabor.perturbation_vector(field, env.trace.frames[out.info["frame"]])
             assert np.array_equal(out.info["perturbation"], want), (policy, episode, row)
 
-    def test_per_episode_seed_is_drawn_at_reset(self, default_scenario, trained_detector,
-                                                monkeypatch):
-        # Each reset takes one layout, under the episode's seed, for every
-        # step of the episode, and no step builds a SeedSequence to find it.
-        layout, seed_sequence = attack_env._layout, np.random.SeedSequence
-        seeds, sequences = [], []
-
-        def recorded_layout(density, seed):
-            seeds.append(seed)
-            return layout(density, seed)
-
-        def counted_sequence(*args, **kwargs):
-            sequences.append(args)
-            return seed_sequence(*args, **kwargs)
-
-        monkeypatch.setattr(attack_env, "_layout", recorded_layout)
-        monkeypatch.setattr(np.random, "SeedSequence", counted_sequence)
-        env = make_env(default_scenario, trained_detector, seed=4,
-                       field_seed_policy="per-episode",
-                       reward_params=reward_params(horizon_frames=self.STEPS))
-        for episode in range(self.EPISODES):
-            seeds.clear()
-            env.reset()
-            sequences.clear()
-            for _ in range(env.t_f):
-                env.step(np.array([0.5, 1.0, 0.3]))
-            assert seeds == [int(seed_sequence([4, episode]).generate_state(1)[0])]
-            assert sequences == []
-
     @pytest.mark.parametrize("policy, draws", [
         ("fixed", 1),                   # one layout for both envs and every episode
-        ("per-episode", EPISODES),      # one env: one layout per episode
         ("per-step", EPISODES * STEPS),
     ])
     def test_layout_draws(self, default_scenario, trained_detector, monkeypatch,
@@ -460,6 +433,20 @@ class TestFieldLayout:
         assert len(set(calls)) == draws
         assert len(steps) == len(env_seeds) * self.EPISODES * self.STEPS
 
+    def test_per_step_field_is_seeded_by_its_key(self, default_scenario, trained_detector,
+                                                 monkeypatch):
+        # build_field gets (field seed, env seed, episode, step) as is, and
+        # default_rng hashes it once, through one SeedSequence.
+        seeds = []
+        build_field = gabor.build_field
+
+        def recorded(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return build_field(*args, **kwargs)
+
+        monkeypatch.setattr(gabor, "build_field", recorded)
+        steps = list(self.run(default_scenario, trained_detector, "per-step", (4, 5)))
+        assert seeds == [(7, env.seed, episode, row + 1) for env, episode, row, _ in steps]
 
     def test_fixed_layout_keeps_one_block(self, default_scenario, trained_detector):
         attack_env._layout.cache_clear()

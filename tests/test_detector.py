@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -282,6 +283,18 @@ class TestCheckpointAndReport:
         assert back.threshold == trained_detector.threshold
         x = np.zeros(90)
         assert posterior(back, x) == posterior(trained_detector, x)
+
+    @pytest.mark.parametrize("key", ["meta", "window", "norm_center", "norm_scale"])
+    def test_checkpoint_without_meta_is_refused_by_key(self, trained_detector, tmp_path,
+                                                       key):
+        p = tmp_path / "detector.json"
+        save_detector(trained_detector, p)
+        doc = json.loads(p.read_text())
+        del (doc if key == "meta" else doc["meta"])[key]
+        p.write_text(json.dumps(doc))
+        missing = "window" if key == "meta" else key
+        with pytest.raises(ValueError, match=re.escape(f"{p} has no meta key '{missing}'")):
+            load_detector(p)
 
     @pytest.mark.parametrize("key, value", [("norm_center", 0.0), ("norm_scale", 0.2)])
     def test_checkpoint_of_other_normalization_is_refused(self, trained_detector, tmp_path,

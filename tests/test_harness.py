@@ -12,7 +12,12 @@ import pytest
 import yaml
 
 from gridevade import ddpg, detector as det, harness, neural
-from gridevade.attack_env import DEFAULT_IMPULSE_DENSITY, AttackConfig, RewardParams
+from gridevade.attack_env import (
+    DEFAULT_IMPULSE_DENSITY,
+    FIELD_SEED_POLICIES,
+    AttackConfig,
+    RewardParams,
+)
 from gridevade.cli import main
 from gridevade.grid_traces import TraceScenario, generate_trace, split_dataset
 from gridevade.harness import (
@@ -278,8 +283,10 @@ class TestConfig:
          "config key 'attack.action_bounds' must be 3 [low, high] pairs of finite numbers, "
          "got [[0.05, 2.0], [0.05, 'five'], [0.0, 3.0]]"),
         ("attack: {field_seed_policy: bogus}",
-         "config key 'attack.field_seed_policy' must be one of fixed, per-episode, per-step, "
-         "got 'bogus'"),
+         "config key 'attack.field_seed_policy' must be one of fixed, per-step, got 'bogus'"),
+        ("attack: {field_seed_policy: per-episode}",
+         "config key 'attack.field_seed_policy' must be one of fixed, per-step, "
+         "got 'per-episode'"),
         ("attack: {reward: {lambda: 1.5}}",
          "config key 'attack.reward.lambda' must lie in (0, 1], got 1.5"),
         ("attack: {reward: {lambda: 0}}",
@@ -458,6 +465,13 @@ class TestConfig:
         listed = set(re.findall(r"`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`", refusals))
         assert {"scenario.dt", "attack.action_bounds", "evaluation.episodes"} <= listed
         assert sorted(listed - shipped_keys()) == []
+
+    def test_readme_field_seed_policy_rule_names_every_policy(self):
+        """The README's `attack.field_seed_policy` rule lists exactly
+        FIELD_SEED_POLICIES, so a policy added or deleted shows there."""
+        rule = README.read_text().split("`attack.field_seed_policy` one of ", 1)[1]
+        listed = re.findall(r"`([a-z-]+)`", rule.split(";", 1)[0])
+        assert listed == list(FIELD_SEED_POLICIES)
 
     def test_every_shipped_key_has_a_rule(self):
         """Each leaf key of the shipped config is checked by a `_RULES` row or a
@@ -839,6 +853,20 @@ class TestEvaluateInputs:
         with pytest.raises(ValueError, match="takes 5 inputs, but the 9-bus case gives "
                                              "states of 19"):
             harness.cmd_evaluate(cfg, fresh)
+        assert sorted(p.name for p in fresh.iterdir()) == ["actor.json", "detector.json"]
+
+    def test_actor_without_meta_is_refused_by_key(self, run_dir, fast_config, tmp_path,
+                                                  capsys):
+        out, cfg = run_dir
+        fresh = copy_run(out, tmp_path / "run", names=("detector.json",))
+        actor, _ = neural.load_checkpoint(out / "actor.json")
+        neural.save_checkpoint(actor, fresh / "actor.json")
+        message = f"{fresh / 'actor.json'} has no meta key 'action_bounds'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            harness.cmd_evaluate(cfg, fresh)
+        assert main(["evaluate", "--config", str(fast_config), "--out", str(fresh),
+                     "--baselines", "trained_agent"]) == 1
+        assert message in capsys.readouterr().err
         assert sorted(p.name for p in fresh.iterdir()) == ["actor.json", "detector.json"]
 
     def test_missing_actor_is_refused(self, run_dir, tmp_path):
