@@ -55,9 +55,12 @@ def main(argv=None) -> int:
             baselines = [b.strip() for b in args.baselines.split(",") if b.strip()]
             results = harness.cmd_evaluate(cfg, args.out, baselines=baselines)
             for name, m in results.items():
+                rate = m.attacked_false_alarm_rate
+                rate = "n/a" if rate is None else f"{rate:.4f}"
                 print(f"{name}: evasion_success_rate={m.evasion_success_rate:.4f} "
-                      f"mean_posterior_drop={m.mean_posterior_drop:.4f}")
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+                      f"mean_posterior_drop={m.mean_posterior_drop:.4f} "
+                      f"attacked_false_alarm_rate={rate}")
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

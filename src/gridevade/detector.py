@@ -3,8 +3,10 @@
 Maps the last `window` frames of per-bus voltages to the posterior
 probability of an ongoing contingency. The attack env only ever calls
 `featurize_window`, `posterior` and `posterior_series`; detector weights
-stay behind this interface (black-box boundary). `detection_delay` is the
-one delay rule, shared by the hold-out report and the attack metrics.
+stay behind this interface (black-box boundary). `score_series` is the one
+scoring rule: it pools (times, posteriors, labels) series into frame
+accuracy, the pre-fault false-positive rate and `detection_delay`s, for the
+hold-out report and for both sides of the attack metrics alike.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "posterior",
     "posterior_series",
     "detection_delay",
+    "score_series",
     "evaluate_detector",
     "save_detector",
     "load_detector",
@@ -69,7 +72,7 @@ class DetectorModel:
 @dataclass
 class DetectorReport:
     frame_accuracy: float
-    false_positive_rate: float
+    false_positive_rate: float | None  # None if no scored frame is pre-fault
     detection_delay: float | None  # mean over detected traces; None if none detected
     posterior_series: list = field(default_factory=list)  # per trace: (times, posteriors, labels)
     delays: list = field(default_factory=list)            # per trace, None = not detected
@@ -77,7 +80,7 @@ class DetectorReport:
     def __post_init__(self):
         if not (0 <= self.frame_accuracy <= 1):
             raise ValueError("frame_accuracy out of [0,1]")
-        if not (0 <= self.false_positive_rate <= 1):
+        if self.false_positive_rate is not None and not (0 <= self.false_positive_rate <= 1):
             raise ValueError("false_positive_rate out of [0,1]")
 
 
@@ -160,25 +163,37 @@ def detection_delay(times, labels, flagged) -> float | None:
     return float(times[hit[0]] - times[post.argmax()]) if len(hit) else None
 
 
-def evaluate_detector(model: DetectorModel, traces) -> DetectorReport:
-    """Frame accuracy, pre-fault false positives, and detection delay over `traces`."""
-    if not traces:
-        raise ValueError("no traces to evaluate")
-    w = model.window
-    series = [(tr.times[w - 1 :], posterior_series(model, tr), tr.labels[w - 1 :])
-              for tr in traces]
-    delays = [detection_delay(times, labels, post >= model.threshold)
+def score_series(series, threshold: float) -> DetectorReport:
+    """Score a non-empty list of (times, posteriors, labels) series, a frame
+    flagged where its posterior is >= `threshold`.
+
+    Accuracy and the false-positive rate pool the frames of every series; the
+    latter is over pre-fault frames, None if there are none. Each series gets
+    its `detection_delay`, and the mean is over the detected ones.
+    """
+    delays = [detection_delay(times, labels, post >= threshold)
               for times, post, labels in series]
     _, post, labels = map(np.concatenate, zip(*series))
-    flagged = post >= model.threshold
+    flagged = post >= threshold
+    pre_fault = flagged[labels == 0]
     detected = [d for d in delays if d is not None]
     return DetectorReport(
         frame_accuracy=float(np.mean(flagged == labels)),
-        false_positive_rate=float(np.mean(flagged[labels == 0])),
+        false_positive_rate=float(np.mean(pre_fault)) if len(pre_fault) else None,
         detection_delay=float(np.mean(detected)) if detected else None,
         posterior_series=series,
         delays=delays,
     )
+
+
+def evaluate_detector(model: DetectorModel, traces) -> DetectorReport:
+    """`score_series` over `traces`, each from frame `window`: the first frame
+    that an attack episode records, so the attack metrics score the same set."""
+    if not traces:
+        raise ValueError("no traces to evaluate")
+    w = model.window
+    series = [(tr.times[w:], posterior_series(model, tr)[1:], tr.labels[w:]) for tr in traces]
+    return score_series(series, model.threshold)
 
 
 def save_detector(model: DetectorModel, path) -> None:

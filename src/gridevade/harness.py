@@ -258,7 +258,11 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
     """
     raw = yaml.safe_load(_default_config_path().read_text())
     if path is not None:
-        raw = _resolve(raw, yaml.safe_load(Path(path).read_text()) or {})
+        try:
+            user = yaml.safe_load(Path(path).read_text())
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path} is not valid YAML: {exc}") from None
+        raw = _resolve(raw, user or {})
     if seed_override is not None:
         raw["master_seed"] = int(seed_override)
     for key, test, requirement in _RULES:
@@ -314,6 +318,8 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
 class AttackMetrics:
     clean_accuracy: float
     attacked_accuracy: float
+    clean_false_alarm_rate: float | None
+    attacked_false_alarm_rate: float | None
     evasion_success_rate: float
     mean_posterior_drop: float
     max_abs_perturbation: float
@@ -321,9 +327,10 @@ class AttackMetrics:
     detection_delay_attacked: float | None
 
     def __post_init__(self):
-        for name in ("clean_accuracy", "attacked_accuracy", "evasion_success_rate"):
+        for name in ("clean_accuracy", "attacked_accuracy", "clean_false_alarm_rate",
+                     "attacked_false_alarm_rate", "evasion_success_rate"):
             v = getattr(self, name)
-            if not (0 <= v <= 1):
+            if v is not None and not (0 <= v <= 1):
                 raise ValueError(f"{name} out of [0,1]: {v}")
 
 
@@ -511,26 +518,25 @@ def run_attack_episode(env: AttackEnv, policy) -> dict:
 
 
 def compute_attack_metrics(episodes: list[dict], threshold: float) -> AttackMetrics:
-    """Aggregate AttackMetrics over evaluated episodes."""
-    labels = np.concatenate([e["label"] for e in episodes])
-    clean = np.concatenate([e["clean_posterior"] for e in episodes])
-    attacked = np.concatenate([e["attacked_posterior"] for e in episodes])
+    """Aggregate AttackMetrics over evaluated episodes; each side's accuracy,
+    false-alarm rate and delay are `detector.score_series` of its posteriors."""
+    clean, attacked = (
+        det.score_series([(e["time"], e[key], e["label"]) for e in episodes], threshold)
+        for key in ("clean_posterior", "attacked_posterior"))
+    labels, p_clean, p_attacked = (np.concatenate([e[key] for e in episodes])
+                                   for key in ("label", "clean_posterior", "attacked_posterior"))
     post = labels == 1
-
-    def mean_delay(key):
-        delays = [det.detection_delay(e["time"], e["label"], e[key] >= threshold)
-                  for e in episodes]
-        detected = [d for d in delays if d is not None]
-        return float(np.mean(detected)) if detected else None
-
     return AttackMetrics(
-        clean_accuracy=float(np.mean((clean >= threshold) == labels)),
-        attacked_accuracy=float(np.mean((attacked >= threshold) == labels)),
-        evasion_success_rate=float(np.mean(attacked[post] < threshold)) if post.any() else 0.0,
-        mean_posterior_drop=float(np.mean(clean[post] - attacked[post])) if post.any() else 0.0,
+        clean_accuracy=clean.frame_accuracy,
+        attacked_accuracy=attacked.frame_accuracy,
+        clean_false_alarm_rate=clean.false_positive_rate,
+        attacked_false_alarm_rate=attacked.false_positive_rate,
+        evasion_success_rate=float(np.mean(p_attacked[post] < threshold)) if post.any() else 0.0,
+        mean_posterior_drop=(float(np.mean(p_clean[post] - p_attacked[post]))
+                             if post.any() else 0.0),
         max_abs_perturbation=float(max(np.max(e["max_abs_n"]) for e in episodes)),
-        detection_delay_clean=mean_delay("clean_posterior"),
-        detection_delay_attacked=mean_delay("attacked_posterior"),
+        detection_delay_clean=clean.detection_delay,
+        detection_delay_attacked=attacked.detection_delay,
     )
 
 
@@ -665,6 +671,9 @@ def cmd_report(run_dir) -> str:
     lines.append("|" + "---|" * (len(columns) + 1))
     for mf in metric_files:
         doc = json.loads(mf.read_text())
+        missing = [c for c in columns if c not in doc]
+        if missing:
+            raise ValueError(f"{mf} has no {', '.join(missing)}; run evaluate again")
         name = mf.stem.removeprefix("metrics_")
         vals = [("n/a" if doc[c] is None else f"{doc[c]:.4g}") for c in columns]
         lines.append(f"| {name} | " + " | ".join(vals) + " |")

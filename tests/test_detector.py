@@ -230,9 +230,10 @@ class TestEvaluateDetector:
         assert report.detection_delay == delay
 
     def test_rates_pool_the_frames_of_all_traces(self):
-        # 2 of 4 frames right (1 of 3 pre-fault flagged), then 10 of 10.
-        short = flagged_trace([0, 0, 0, 1], [1, 0, 0, 0])
-        long = flagged_trace([0] * 5 + [1] * 5, [0] * 5 + [1] * 5)
+        # Scored from frame `window` = 1, so each trace leads with one unscored
+        # frame. Then 2 of 4 frames right (1 of 3 pre-fault flagged), and 10 of 10.
+        short = flagged_trace([0] + [0, 0, 0, 1], [0] + [1, 0, 0, 0])
+        long = flagged_trace([0] + [0] * 5 + [1] * 5, [0] + [0] * 5 + [1] * 5)
         report = evaluate_detector(voltage_sign_model(), [short, long])
         assert report.frame_accuracy == 12 / 14
         assert report.false_positive_rate == 1 / 8

@@ -575,6 +575,23 @@ class TestConfig:
         assert "error: unknown config key 'training.restrats'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unparsable_yaml_fails_via_cli(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("training: {episodes: 3\n")
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: config file {bad} is not valid YAML" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_as_config_fails_via_cli(self, tmp_path, capsys):
+        folder = tmp_path / "configs"
+        folder.mkdir()
+        rc = main(["simulate", "--config", str(folder), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCsvWriter:
     def test_exact_bytes(self, tmp_path):
@@ -670,8 +687,20 @@ class TestPipeline:
         out, cfg = run_dir
         lines = (out / "clean_posterior.csv").read_text().splitlines()
         frames = int(round(cfg.scenario.horizon / cfg.scenario.dt))
-        per_trace = frames - cfg.detector_config.window + 1
+        per_trace = frames - cfg.detector_config.window
         assert len(lines) - 1 == per_trace * cfg.eval_episodes
+
+    def test_posterior_csv_thresholds_to_the_report(self, run_dir):
+        """The CSV holds exactly the frames that the report scores."""
+        out, cfg = run_dir
+        with open(out / "clean_posterior.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        post = np.array([float(row["posterior"]) for row in rows])
+        labels = np.array([int(row["label"]) for row in rows])
+        flagged = post >= cfg.detector_config.threshold
+        doc = json.loads((out / "detector_report.json").read_text())
+        assert doc["frame_accuracy"] == float(np.mean(flagged == labels))
+        assert doc["false_positive_rate"] == float(np.mean(flagged[labels == 0]))
 
     def test_attacker_outputs(self, run_dir):
         out, cfg = run_dir
@@ -685,7 +714,8 @@ class TestPipeline:
         for name in ("none", "random_hyperparams", "trained_agent"):
             doc = json.loads((out / f"metrics_{name}.json").read_text())
             assert set(doc) == {
-                "clean_accuracy", "attacked_accuracy", "evasion_success_rate",
+                "clean_accuracy", "attacked_accuracy", "clean_false_alarm_rate",
+                "attacked_false_alarm_rate", "evasion_success_rate",
                 "mean_posterior_drop", "max_abs_perturbation",
                 "detection_delay_clean", "detection_delay_attacked",
                 "config_hash", "seed"}
@@ -713,28 +743,47 @@ class TestPipeline:
     def test_report_includes_all_metric_fields(self, run_dir):
         out, _ = run_dir
         text = cmd_report(out)
-        for f in ("clean_accuracy", "attacked_accuracy", "evasion_success_rate",
+        for f in ("clean_accuracy", "attacked_accuracy", "clean_false_alarm_rate",
+                  "attacked_false_alarm_rate", "evasion_success_rate",
                   "mean_posterior_drop", "max_abs_perturbation",
                   "detection_delay_clean", "detection_delay_attacked"):
             assert f in text
         assert (out / "summary.md").exists()
 
     def test_holdout_report_and_none_baseline_share_the_delay(self, fast_config, tmp_path):
-        """Both score the clean posteriors of the evaluation seeds. A detector
-        trained for 5 epochs reaches a 0.9 threshold frames late, so the mean
-        delay is not 0."""
+        """Both score the clean posteriors of the evaluation seeds over the same
+        frames. A detector trained for 5 epochs reaches a 0.9 threshold frames
+        late, so the mean delay is not 0."""
         raw = yaml.safe_load(fast_config.read_text())
         raw["detector"].update(epochs=5, threshold=0.9)
         raw["evaluation"]["episodes"] = 4
         path = tmp_path / "late.yaml"
         path.write_text(yaml.safe_dump(raw))
-        cfg = load_config(path)
-        harness.cmd_train_detector(cfg, tmp_path)
-        harness.cmd_evaluate(cfg, tmp_path, baselines=("none",))
-        delay = json.loads((tmp_path / "detector_report.json").read_text())["detection_delay"]
-        metrics = json.loads((tmp_path / "metrics_none.json").read_text())
-        assert delay > 0
-        assert metrics["detection_delay_clean"] == delay
+        report, metrics = report_and_none_metrics(load_config(path), tmp_path)
+        assert report["detection_delay"] > 0
+        assert_report_scores_as_none(report, metrics)
+
+    def test_holdout_report_equals_none_baseline_on_master_seed_1(self, tmp_path):
+        """On the shipped config at master seed 1, scoring from frame
+        `window - 1` gave the report one frame per trace more than the `none`
+        baseline: frame accuracy 0.9967033 against 0.9966667."""
+        report, metrics = report_and_none_metrics(load_config(seed_override=1), tmp_path)
+        assert report["frame_accuracy"] < 1
+        assert_report_scores_as_none(report, metrics)
+
+    def test_no_pre_fault_frame_gives_null_false_alarm_rates(self, tmp_path, capsys):
+        """With the fault at 1e-9 s and a 1-frame window, every scored frame is
+        post-fault: the false-alarm rates are null, not NaN or a refusal."""
+        path = tmp_path / "early.yaml"
+        path.write_text("{scenario: {fault_start: 1.0e-9}, detector: {window: 1}}\n")
+        out = tmp_path / "run"
+        for argv in (["train-detector"], ["evaluate", "--baselines", "none"]):
+            assert main(argv + ["--config", str(path), "--out", str(out)]) == 0
+        assert "attacked_false_alarm_rate=n/a" in capsys.readouterr().out
+        assert json.loads((out / "detector_report.json").read_text())["false_positive_rate"] is None
+        metrics = json.loads((out / "metrics_none.json").read_text())
+        assert metrics["clean_false_alarm_rate"] is None
+        assert metrics["attacked_false_alarm_rate"] is None
 
     def test_rerun_evaluate_identical_metrics(self, run_dir, tmp_path):
         """The four commands rerun into a fresh directory write the same bytes."""
@@ -751,6 +800,22 @@ class TestPipeline:
         assert len(names) == 21
         for name in names:
             assert (fresh / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def report_and_none_metrics(cfg, out):
+    """`detector_report.json` and `metrics_none.json` of `cfg`, trained and
+    evaluated into `out`."""
+    harness.cmd_train_detector(cfg, out)
+    harness.cmd_evaluate(cfg, out, baselines=("none",))
+    return (json.loads((out / "detector_report.json").read_text()),
+            json.loads((out / "metrics_none.json").read_text()))
+
+
+def assert_report_scores_as_none(report, metrics):
+    """The hold-out report's numbers are the `none` baseline's clean ones, bit for bit."""
+    assert report["frame_accuracy"] == metrics["clean_accuracy"]
+    assert report["false_positive_rate"] == metrics["clean_false_alarm_rate"]
+    assert report["detection_delay"] == metrics["detection_delay_clean"]
 
 
 def copy_run(run_dir, dest, names=("detector.json", "actor.json")):
@@ -943,6 +1008,17 @@ class TestMissingArtifacts:
         with pytest.raises(FileNotFoundError, match="detector"):
             harness.cmd_train_attacker(cfg, tmp_path)
 
+    def test_report_of_metrics_without_a_field_fails_via_cli(self, run_dir, tmp_path, capsys):
+        """A metrics file of an older schema ends in an `error:` line naming
+        the file and the fields it lacks, not a KeyError."""
+        doc = json.loads((run_dir[0] / "metrics_none.json").read_text())
+        del doc["clean_false_alarm_rate"], doc["attacked_false_alarm_rate"]
+        (tmp_path / "metrics_none.json").write_text(json.dumps(doc))
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert (f"error: {tmp_path / 'metrics_none.json'} has no clean_false_alarm_rate, "
+                "attacked_false_alarm_rate; run evaluate again") in capsys.readouterr().err
+        assert not (tmp_path / "summary.md").exists()
+
     def test_report_empty_dir_names_expected_files(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="metrics_"):
             cmd_report(tmp_path)
@@ -1015,9 +1091,30 @@ class TestMetricsComputation:
         assert m.evasion_success_rate == 0.0
         assert m.attacked_accuracy == 1.0
 
+    def test_false_alarm_rates_score_the_pre_fault_frames(self):
+        attacked = np.array([0.8, 0.1, 0.7, 0.1, 0.1] + [0.9] * 5)
+        m = compute_attack_metrics([self.run(attacked)], threshold=0.5)
+        assert m.clean_false_alarm_rate == 0.0
+        assert m.attacked_false_alarm_rate == 2 / 5
+        assert m.attacked_accuracy == 8 / 10
+
+    def test_readme_lists_every_metric_field(self):
+        """The README's list under the output table names exactly the fields of
+        `AttackMetrics`, in their order."""
+        listing = README.read_text().split("`metrics_<baseline>.json` (`harness.AttackMetrics`)",
+                                           1)[1].split("\n\n", 2)[1]
+        listed = re.findall(r"^- `([a-z_]+)`:", listing, flags=re.M)
+        assert listed == [f.name for f in fields(AttackMetrics)]
+
     def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            AttackMetrics(clean_accuracy=1.5, attacked_accuracy=1.0,
-                          evasion_success_rate=0.0, mean_posterior_drop=0.0,
-                          max_abs_perturbation=0.0, detection_delay_clean=None,
-                          detection_delay_attacked=None)
+        valid = dict(clean_accuracy=1.0, attacked_accuracy=1.0, clean_false_alarm_rate=0.0,
+                     attacked_false_alarm_rate=0.0, evasion_success_rate=0.0,
+                     mean_posterior_drop=0.0, max_abs_perturbation=0.0,
+                     detection_delay_clean=None, detection_delay_attacked=None)
+        for name in ("clean_accuracy", "attacked_accuracy", "clean_false_alarm_rate",
+                     "attacked_false_alarm_rate", "evasion_success_rate"):
+            with pytest.raises(ValueError, match=f"{name} out of"):
+                AttackMetrics(**{**valid, name: 1.5})
+        # A series with no pre-fault frame has no false-alarm rate.
+        AttackMetrics(**{**valid, "clean_false_alarm_rate": None,
+                         "attacked_false_alarm_rate": None})
